@@ -49,16 +49,13 @@ void RemoveShardedCorpus(const std::string& path, size_t max_shards) {
 class LineageSizeScorer : public FactScorer {
  public:
   ShapleyValues Score(const Corpus& corpus, size_t entry_idx,
-                      size_t contrib_idx) override {
+                      size_t contrib_idx) const override {
     const auto& c = corpus.entries[entry_idx].contributions[contrib_idx];
     ShapleyValues out;
     for (const auto& [f, v] : c.shapley) {
       out[f] = static_cast<double>((f * 2654435761u) % 1000u);
     }
     return out;
-  }
-  std::unique_ptr<FactScorer> Clone() const override {
-    return std::make_unique<LineageSizeScorer>();
   }
   std::string name() const override { return "lineage-size"; }
 };

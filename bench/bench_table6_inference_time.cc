@@ -148,11 +148,9 @@ int main(int argc, char** argv) {
   if (quantized) {
     std::printf("quantized mode: simd=%s\n",
                 SimdLevelName(ActiveSimdLevel()));
-    base_q.reset(static_cast<LearnShapleyRanker*>(
-        base.ranker->Clone().release()));
+    base_q = std::make_unique<LearnShapleyRanker>(*base.ranker);
     base_q->Configure(RankerConfig{}.WithMode(InferenceMode::kQuantized));
-    large_q.reset(static_cast<LearnShapleyRanker*>(
-        large.ranker->Clone().release()));
+    large_q = std::make_unique<LearnShapleyRanker>(*large.ranker);
     large_q->Configure(RankerConfig{}.WithMode(InferenceMode::kQuantized));
   }
 

@@ -38,11 +38,11 @@ struct EvalSummary {
 };
 
 // Evaluates `scorer` on every contribution of the given corpus split,
-// in parallel with per-worker scorer clones. `train_seen` (may be empty)
-// enables the seen/unseen partial metrics.
+// scoring the one shared scorer from every pool worker. `train_seen` (may
+// be empty) enables the seen/unseen partial metrics.
 EvalSummary EvaluateScorer(const Corpus& corpus,
                            const std::vector<size_t>& split,
-                           FactScorer& scorer,
+                           const FactScorer& scorer,
                            const std::unordered_set<FactId>& train_seen,
                            ThreadPool& pool);
 
@@ -59,7 +59,7 @@ EvalSummary EvaluateScorer(const Corpus& corpus,
 // supported — use a ranker that scores from (db, entry) alone.
 Result<EvalSummary> EvaluateScorerStream(
     const CorpusStream& stream, const std::vector<size_t>& split,
-    FactScorer& scorer, const std::unordered_set<FactId>& train_seen,
+    const FactScorer& scorer, const std::unordered_set<FactId>& train_seen,
     ThreadPool& pool);
 
 }  // namespace lshap

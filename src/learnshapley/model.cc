@@ -16,87 +16,88 @@ LearnShapleyModel::LearnShapleyModel(const EncoderConfig& encoder_config,
 
 namespace {
 
-// Extracts the [CLS] row (row 0) as a 1×dim tensor.
-Tensor ClsRow(const Tensor& hidden) {
-  Tensor cls(1, hidden.cols());
+// dL/d(hidden) for a loss that reads only the [CLS] row.
+Tensor ClsGradientToHidden(const Tensor& d_cls, size_t rows) {
+  Tensor d_hidden(rows, d_cls.cols());
+  std::copy(d_cls.row_data(0), d_cls.row_data(0) + d_cls.cols(),
+            d_hidden.row_data(0));
+  return d_hidden;
+}
+
+}  // namespace
+
+const Tensor& LearnShapleyModel::EncodeCls(const EncodedPair& input,
+                                           InferenceArena& arena,
+                                           EncoderTape* tape) const {
+  arena.Reset();
+  Tensor& hidden = arena.Get(input.ids.size(), encoder_.config().dim);
+  encoder_.Forward(input.ids, input.mask, arena, hidden, tape);
+  Tensor& cls = arena.Get(1, hidden.cols());
   std::copy(hidden.row_data(0), hidden.row_data(0) + hidden.cols(),
             cls.row_data(0));
   return cls;
 }
 
-}  // namespace
-
 float LearnShapleyModel::PretrainStep(const EncodedPair& pair,
                                       double sim_rank, double sim_witness,
                                       double sim_syntax,
                                       const PretrainObjectives& objectives) {
-  const Tensor hidden = encoder_.Forward(pair.ids, pair.mask);
-  const Tensor cls = ClsRow(hidden);
+  const Tensor& cls = EncodeCls(pair, step_arena_, &step_tape_);
 
   float loss = 0.0f;
   Tensor d_cls(1, cls.cols());
   auto run_head = [&](Linear& head, double target) {
-    const Tensor pred = head.Forward(cls);
+    LinearTape head_tape;
+    Tensor& pred = step_arena_.Get(1, 1);
+    head.Forward(cls, pred, &head_tape);
     const float err = pred.at(0, 0) - static_cast<float>(target);
     loss += err * err;
     Tensor d_pred(1, 1);
     d_pred.at(0, 0) = 2.0f * err;
-    d_cls.Add(head.Backward(d_pred));
+    d_cls.Add(head.Backward(head_tape, d_pred));
   };
   if (objectives.rank) run_head(head_rank_, sim_rank);
   if (objectives.witness) run_head(head_witness_, sim_witness);
   if (objectives.syntax) run_head(head_syntax_, sim_syntax);
 
-  Tensor d_hidden(hidden.rows(), hidden.cols());
-  std::copy(d_cls.row_data(0), d_cls.row_data(0) + d_cls.cols(),
-            d_hidden.row_data(0));
-  encoder_.Backward(d_hidden);
+  encoder_.Backward(step_tape_, ClsGradientToHidden(d_cls, pair.ids.size()));
   return loss;
 }
 
 LearnShapleyModel::Similarities LearnShapleyModel::PredictSimilarities(
-    const EncodedPair& pair) {
-  const Tensor hidden = encoder_.Forward(pair.ids, pair.mask);
-  const Tensor cls = ClsRow(hidden);
+    const EncodedPair& pair, InferenceArena& arena) const {
+  const Tensor& cls = EncodeCls(pair, arena, nullptr);
+  auto run_head = [&](const Linear& head) {
+    Tensor& pred = arena.Get(1, 1);
+    head.Forward(cls, pred, nullptr);
+    return pred.at(0, 0);
+  };
   Similarities out;
-  out.rank = head_rank_.Forward(cls).at(0, 0);
-  out.witness = head_witness_.Forward(cls).at(0, 0);
-  out.syntax = head_syntax_.Forward(cls).at(0, 0);
+  out.rank = run_head(head_rank_);
+  out.witness = run_head(head_witness_);
+  out.syntax = run_head(head_syntax_);
   return out;
 }
 
 float LearnShapleyModel::FinetuneStep(const EncodedPair& input, float target) {
-  const Tensor hidden = encoder_.Forward(input.ids, input.mask);
-  const Tensor cls = ClsRow(hidden);
-  const Tensor pred = head_shapley_.Forward(cls);
+  const Tensor& cls = EncodeCls(input, step_arena_, &step_tape_);
+  LinearTape head_tape;
+  Tensor& pred = step_arena_.Get(1, 1);
+  head_shapley_.Forward(cls, pred, &head_tape);
   const float err = pred.at(0, 0) - target;
 
   Tensor d_pred(1, 1);
   d_pred.at(0, 0) = 2.0f * err;
-  const Tensor d_cls = head_shapley_.Backward(d_pred);
-  Tensor d_hidden(hidden.rows(), hidden.cols());
-  std::copy(d_cls.row_data(0), d_cls.row_data(0) + d_cls.cols(),
-            d_hidden.row_data(0));
-  encoder_.Backward(d_hidden);
+  const Tensor d_cls = head_shapley_.Backward(head_tape, d_pred);
+  encoder_.Backward(step_tape_, ClsGradientToHidden(d_cls, input.ids.size()));
   return err * err;
-}
-
-float LearnShapleyModel::PredictShapley(const EncodedPair& input) {
-  const Tensor hidden = encoder_.Forward(input.ids, input.mask);
-  const Tensor cls = ClsRow(hidden);
-  return head_shapley_.Forward(cls).at(0, 0);
 }
 
 float LearnShapleyModel::PredictShapley(const EncodedPair& input,
                                         InferenceArena& arena) const {
-  arena.Reset();
-  Tensor& hidden = arena.Get(input.ids.size(), encoder_.config().dim);
-  encoder_.ForwardInference(input.ids, input.mask, arena, hidden);
-  Tensor& cls = arena.Get(1, hidden.cols());
-  std::copy(hidden.row_data(0), hidden.row_data(0) + hidden.cols(),
-            cls.row_data(0));
+  const Tensor& cls = EncodeCls(input, arena, nullptr);
   Tensor& pred = arena.Get(1, 1);
-  head_shapley_.ForwardInference(cls, pred);
+  head_shapley_.Forward(cls, pred, nullptr);
   return pred.at(0, 0);
 }
 

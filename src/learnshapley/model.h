@@ -26,8 +26,10 @@ struct PretrainObjectives {
 // regression head used during fine-tuning and inference. All heads read the
 // [CLS] representation.
 //
-// The model is copyable; copies share nothing, which is how evaluation
-// parallelizes across threads.
+// Prediction is const: one instance serves many threads, each bringing its
+// own InferenceArena. The training steps run the same forward with an
+// activation tape owned by the instance, so data-parallel training gives
+// each gradient partition its own copy (copies share nothing).
 class LearnShapleyModel {
  public:
   LearnShapleyModel() = default;
@@ -47,7 +49,8 @@ class LearnShapleyModel {
     float witness = 0.0f;
     float syntax = 0.0f;
   };
-  Similarities PredictSimilarities(const EncodedPair& pair);
+  Similarities PredictSimilarities(const EncodedPair& pair,
+                                   InferenceArena& arena) const;
 
   // --- Fine-tuning (Shapley regression) ---
 
@@ -55,12 +58,9 @@ class LearnShapleyModel {
   // scaled (×1000 per the paper). Returns the sample loss.
   float FinetuneStep(const EncodedPair& input, float target);
 
-  // Predicted (scaled) Shapley value.
-  float PredictShapley(const EncodedPair& input);
-
-  // Const, scratch-free twin of PredictShapley: bit-identical result, all
-  // intermediates from the caller's per-thread arena. This is what lets one
-  // model instance serve many threads (serving, parallel evaluation).
+  // Predicted (scaled) Shapley value; all intermediates come from the
+  // caller's per-thread arena. Bit-identical to the prediction inside
+  // FinetuneStep.
   float PredictShapley(const EncodedPair& input, InferenceArena& arena) const;
 
   std::vector<Param*> Params();
@@ -74,11 +74,19 @@ class LearnShapleyModel {
   const Linear& head_shapley() const { return head_shapley_; }
 
  private:
+  // Resets `arena`, runs the encoder and returns the [CLS] row (row 0) as a
+  // 1×dim arena tensor.
+  const Tensor& EncodeCls(const EncodedPair& input, InferenceArena& arena,
+                          EncoderTape* tape) const;
+
   TransformerEncoder encoder_;
   Linear head_rank_;
   Linear head_witness_;
   Linear head_syntax_;
   Linear head_shapley_;
+  // Training-step workspace: the taped forward's activations and the tape.
+  InferenceArena step_arena_;
+  EncoderTape step_tape_;
 };
 
 // Int8 quantized snapshot of a trained LearnShapleyModel's inference path:

@@ -135,17 +135,13 @@ Result<ShapleyValues> LearnShapleyRanker::ScoreLineageBudgeted(
 
 ShapleyValues LearnShapleyRanker::Score(const Corpus& corpus,
                                         size_t entry_idx,
-                                        size_t contrib_idx) {
+                                        size_t contrib_idx) const {
   const CorpusEntry& entry = corpus.entries[entry_idx];
   const TupleContribution& contrib = entry.contributions[contrib_idx];
   std::vector<FactId> lineage;
   lineage.reserve(contrib.shapley.size());
   for (const auto& [f, v] : contrib.shapley) lineage.push_back(f);
   return ScoreLineage(*corpus.db, entry.query, contrib.tuple, lineage);
-}
-
-std::unique_ptr<FactScorer> LearnShapleyRanker::Clone() const {
-  return std::make_unique<LearnShapleyRanker>(*this);
 }
 
 }  // namespace lshap

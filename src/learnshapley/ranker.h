@@ -64,8 +64,7 @@ class LearnShapleyRanker : public FactScorer {
 
   // FactScorer interface (reads only the lineage keys).
   ShapleyValues Score(const Corpus& corpus, size_t entry_idx,
-                      size_t contrib_idx) override;
-  std::unique_ptr<FactScorer> Clone() const override;
+                      size_t contrib_idx) const override;
   std::string name() const override { return name_; }
 
   // Applies the inference settings. Switching to kQuantized quantizes the
@@ -76,7 +75,7 @@ class LearnShapleyRanker : public FactScorer {
   const RankerConfig& config() const { return config_; }
 
   // Installs a pre-built quantized model (deserialization path) and
-  // switches to quantized mode. Clones share the instance.
+  // switches to quantized mode. Copies share the instance.
   void AdoptQuantizedModel(std::shared_ptr<const QuantizedShapleyModel> q);
   const QuantizedShapleyModel* quantized_model() const {
     return quant_.get();
@@ -92,9 +91,9 @@ class LearnShapleyRanker : public FactScorer {
 
   // Observability opt-in: records a per-ScoreLineage latency histogram
   // (rank.score_seconds) and a scored-fact counter (rank.facts_scored).
-  // Handles are plain values, so Clone() copies them and cloned rankers
-  // keep reporting into the same registry; the handles' sharded cells
-  // absorb contention when one shared instance is scored from many threads.
+  // Handles are plain values, so copies of the ranker keep reporting into
+  // the same registry; the handles' sharded cells absorb contention when
+  // one shared instance is scored from many threads.
   void set_metrics(MetricsRegistry* registry);
 
  private:

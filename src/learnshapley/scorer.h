@@ -1,7 +1,6 @@
 #ifndef LSHAP_LEARNSHAPLEY_SCORER_H_
 #define LSHAP_LEARNSHAPLEY_SCORER_H_
 
-#include <memory>
 #include <string>
 
 #include "corpus/corpus.h"
@@ -14,6 +13,9 @@ namespace lshap {
 // Implementations may only read the contribution's *lineage* (the key set of
 // its Shapley map) — never the gold values — except for baselines the paper
 // explicitly marks as controlled experiments (rank-based Nearest Queries).
+//
+// Score is const and must be safe to call from many threads at once: the
+// evaluators score one shared scorer from every worker.
 class FactScorer {
  public:
   virtual ~FactScorer() = default;
@@ -21,10 +23,7 @@ class FactScorer {
   // Scores every lineage fact of corpus.entries[entry_idx]
   // .contributions[contrib_idx]. Higher = more contributing.
   virtual ShapleyValues Score(const Corpus& corpus, size_t entry_idx,
-                              size_t contrib_idx) = 0;
-
-  // Independent copy for parallel evaluation.
-  virtual std::unique_ptr<FactScorer> Clone() const = 0;
+                              size_t contrib_idx) const = 0;
 
   virtual std::string name() const = 0;
 };

@@ -46,22 +46,10 @@ TransformerEncoder::TransformerEncoder(const EncoderConfig& config)
   }
 }
 
-Tensor TransformerEncoder::Forward(const std::vector<int>& ids,
-                                   const std::vector<bool>& mask) {
-  LSHAP_CHECK_LE(ids.size(), config_.max_len);
-  LSHAP_CHECK_EQ(ids.size(), mask.size());
-  std::vector<int> pos(ids.size());
-  for (size_t i = 0; i < pos.size(); ++i) pos[i] = static_cast<int>(i);
-  Tensor h = tok_emb_.Forward(ids);
-  h.Add(pos_emb_.Forward(pos));
-  for (auto& layer : layers_) h = layer.Forward(h, mask);
-  return final_ln_.Forward(h);
-}
-
-void TransformerEncoder::ForwardInference(const std::vector<int>& ids,
-                                          const std::vector<bool>& mask,
-                                          InferenceArena& arena,
-                                          Tensor& out) const {
+void TransformerEncoder::Forward(const std::vector<int>& ids,
+                                 const std::vector<bool>& mask,
+                                 InferenceArena& arena, Tensor& out,
+                                 EncoderTape* tape) const {
   LSHAP_CHECK_LE(ids.size(), config_.max_len);
   LSHAP_CHECK_EQ(ids.size(), mask.size());
   const size_t n = ids.size();
@@ -76,22 +64,31 @@ void TransformerEncoder::ForwardInference(const std::vector<int>& ids,
     float* dst = h0.row_data(i);
     for (size_t c = 0; c < dim; ++c) dst[c] = src[c] + prow[c];
   }
+  if (tape != nullptr) {
+    tape->ids = &ids;
+    tape->layers.resize(layers_.size());
+  }
   const Tensor* cur = &h0;
-  for (const auto& layer : layers_) {
+  for (size_t l = 0; l < layers_.size(); ++l) {
     Tensor& next = arena.Get(n, dim);
-    layer.ForwardInference(*cur, mask, arena, next);
+    layers_[l].Forward(*cur, mask, arena, next,
+                       tape != nullptr ? &tape->layers[l] : nullptr);
     cur = &next;
   }
-  final_ln_.ForwardInference(*cur, out);
+  final_ln_.Forward(*cur, arena, out,
+                    tape != nullptr ? &tape->final_ln : nullptr);
 }
 
-void TransformerEncoder::Backward(const Tensor& d_hidden) {
-  Tensor d = final_ln_.Backward(d_hidden);
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    d = it->Backward(d);
+void TransformerEncoder::Backward(const EncoderTape& tape,
+                                  const Tensor& d_hidden) {
+  Tensor d = final_ln_.Backward(tape.final_ln, d_hidden);
+  for (size_t l = layers_.size(); l-- > 0;) {
+    d = layers_[l].Backward(tape.layers[l], d);
   }
-  tok_emb_.Backward(d);
-  pos_emb_.Backward(d);
+  std::vector<int> pos(tape.ids->size());
+  for (size_t i = 0; i < pos.size(); ++i) pos[i] = static_cast<int>(i);
+  tok_emb_.Backward(*tape.ids, d);
+  pos_emb_.Backward(pos, d);
 }
 
 std::vector<Param*> TransformerEncoder::Params() {

@@ -25,6 +25,14 @@ struct EncoderConfig {
   static EncoderConfig SmallAblation(size_t vocab_size);
 };
 
+// What TransformerEncoder::Backward needs from a taped forward: a view of
+// the token ids plus every layer's tape (see the tape contract in layers.h).
+struct EncoderTape {
+  const std::vector<int>* ids = nullptr;
+  std::vector<TransformerLayerTape> layers;
+  LayerNormTape final_ln;
+};
+
 // A BERT-style bidirectional transformer encoder: learned token + position
 // embeddings, pre-LN encoder blocks, final LayerNorm. The [CLS] position
 // (row 0) is the sequence representation for regression heads.
@@ -33,16 +41,14 @@ class TransformerEncoder {
   TransformerEncoder() = default;
   explicit TransformerEncoder(const EncoderConfig& config);
 
-  // ids.size() must be ≤ max_len; mask[i] marks non-pad positions.
-  Tensor Forward(const std::vector<int>& ids, const std::vector<bool>& mask);
-  void Backward(const Tensor& d_hidden);
-
-  // Scratch-free inference twin of Forward(): const, bit-identical output,
-  // all intermediates from the caller's arena. Makes one encoder instance
-  // shareable across threads (each thread brings its own arena).
-  void ForwardInference(const std::vector<int>& ids,
-                        const std::vector<bool>& mask, InferenceArena& arena,
-                        Tensor& out) const;
+  // ids.size() must be ≤ max_len; mask[i] marks non-pad positions. Const:
+  // all intermediates come from the caller's arena, so one encoder instance
+  // is shareable across threads (each thread brings its own arena).
+  // Training passes a tape for Backward; inference passes null.
+  void Forward(const std::vector<int>& ids, const std::vector<bool>& mask,
+               InferenceArena& arena, Tensor& out, EncoderTape* tape) const;
+  // Accumulates parameter grads from dL/d(hidden) through a taped forward.
+  void Backward(const EncoderTape& tape, const Tensor& d_hidden);
 
   std::vector<Param*> Params();
 

@@ -20,10 +20,10 @@ struct Param {
   void ZeroGrad() { grad.Zero(); }
 };
 
-// Caller-provided activation workspace for the const inference forwards.
-// Get() hands out zeroed, reusable tensor slots; Reset() recycles them all
-// without freeing. Slots live in a deque so references stay valid as more
-// are acquired. One arena per thread — the layers themselves stay untouched,
+// Caller-provided activation workspace for the const forwards. Get() hands
+// out zeroed, reusable tensor slots; Reset() recycles them all without
+// freeing. Slots live in a deque so references stay valid as more are
+// acquired. One arena per thread — the layers themselves stay untouched,
 // which is what makes a single snapshot ranker shareable across workers.
 class InferenceArena {
  public:
@@ -40,20 +40,48 @@ class InferenceArena {
   size_t next_ = 0;
 };
 
-// Affine map y = x·W + b. Caches x for the backward pass, so one instance
-// handles one forward/backward pair at a time (sequential SGD over samples).
+// Activation tapes. Every layer has one const forward; training passes a
+// tape, inference passes null. A tape only holds views of activations that
+// live in the forward's arena (or the caller's input), so the arena must not
+// be Reset — and the input must stay alive and unmodified — until Backward
+// has consumed the tape.
+struct LinearTape {
+  const Tensor* x = nullptr;
+};
+
+struct LayerNormTape {
+  const Tensor* xhat = nullptr;
+  const Tensor* rstd = nullptr;  // n×1
+};
+
+struct GeluTape {
+  const Tensor* x = nullptr;
+};
+
+struct AttentionTape {
+  LinearTape q_proj, k_proj, v_proj, out_proj;
+  const Tensor* q = nullptr;
+  const Tensor* k = nullptr;
+  const Tensor* v = nullptr;
+  std::vector<const Tensor*> attn;  // per-head n×n softmax weights
+};
+
+struct TransformerLayerTape {
+  LayerNormTape ln1, ln2;
+  AttentionTape attn;
+  LinearTape ffn1, ffn2;
+  GeluTape gelu;
+};
+
+// Affine map y = x·W + b.
 class Linear {
  public:
   Linear() = default;
   Linear(size_t in, size_t out, Rng& rng);
 
-  Tensor Forward(const Tensor& x);
+  void Forward(const Tensor& x, Tensor& y, LinearTape* tape) const;
   // Accumulates parameter grads; returns dL/dx.
-  Tensor Backward(const Tensor& dy);
-
-  // Scratch-free inference: writes y = x·W + b into the caller's output
-  // without touching the backward cache. Bit-identical to Forward().
-  void ForwardInference(const Tensor& x, Tensor& y) const;
+  Tensor Backward(const LinearTape& tape, const Tensor& dy);
 
   void CollectParams(std::vector<Param*>& out);
 
@@ -63,17 +91,16 @@ class Linear {
  private:
   Param w_;  // in×out
   Param b_;  // 1×out
-  Tensor x_;
 };
 
-// Learned token/position embedding lookup.
+// Learned token/position embedding table. The encoder's forward reads the
+// table directly; Backward scatters row gradients for the looked-up ids.
 class Embedding {
  public:
   Embedding() = default;
   Embedding(size_t vocab, size_t dim, Rng& rng);
 
-  Tensor Forward(const std::vector<int>& ids);
-  void Backward(const Tensor& dy);
+  void Backward(const std::vector<int>& ids, const Tensor& dy);
 
   void CollectParams(std::vector<Param*>& out);
 
@@ -82,7 +109,6 @@ class Embedding {
 
  private:
   Param table_;  // vocab×dim
-  std::vector<int> ids_;
 };
 
 // Layer normalization over the feature dimension with learned gain/bias.
@@ -91,11 +117,9 @@ class LayerNorm {
   LayerNorm() = default;
   explicit LayerNorm(size_t dim);
 
-  Tensor Forward(const Tensor& x);
-  Tensor Backward(const Tensor& dy);
-
-  // Scratch-free inference twin of Forward() (no xhat/rstd caching).
-  void ForwardInference(const Tensor& x, Tensor& y) const;
+  void Forward(const Tensor& x, InferenceArena& arena, Tensor& y,
+               LayerNormTape* tape) const;
+  Tensor Backward(const LayerNormTape& tape, const Tensor& dy);
 
   void CollectParams(std::vector<Param*>& out);
 
@@ -105,21 +129,12 @@ class LayerNorm {
  private:
   Param gamma_;  // 1×dim
   Param beta_;   // 1×dim
-  Tensor xhat_;
-  std::vector<float> rstd_;
 };
 
-// GELU activation (tanh approximation) with cached input.
-class Gelu {
- public:
-  Tensor Forward(const Tensor& x);
-  Tensor Backward(const Tensor& dy);
-
-  // Scratch-free inference twin of Forward().
-  static void ForwardInference(const Tensor& x, Tensor& y);
-
- private:
-  Tensor x_;
+// GELU activation (tanh approximation). Stateless.
+struct Gelu {
+  static void Forward(const Tensor& x, Tensor& y, GeluTape* tape);
+  static Tensor Backward(const GeluTape& tape, const Tensor& dy);
 };
 
 // Multi-head scaled-dot-product self-attention with padding mask.
@@ -130,13 +145,10 @@ class MultiHeadSelfAttention {
 
   // mask[i] == true means position i is a real token; padded positions are
   // excluded as keys (they still produce outputs which downstream ignores).
-  Tensor Forward(const Tensor& x, const std::vector<bool>& mask);
-  Tensor Backward(const Tensor& dy);
-
-  // Scratch-free inference twin of Forward(); intermediate activations come
-  // from `arena`, the result lands in `out`.
-  void ForwardInference(const Tensor& x, const std::vector<bool>& mask,
-                        InferenceArena& arena, Tensor& out) const;
+  // Intermediate activations come from `arena`, the result lands in `out`.
+  void Forward(const Tensor& x, const std::vector<bool>& mask,
+               InferenceArena& arena, Tensor& out, AttentionTape* tape) const;
+  Tensor Backward(const AttentionTape& tape, const Tensor& dy);
 
   void CollectParams(std::vector<Param*>& out);
 
@@ -152,11 +164,6 @@ class MultiHeadSelfAttention {
   size_t num_heads_ = 0;
   size_t head_dim_ = 0;
   Linear q_proj_, k_proj_, v_proj_, out_proj_;
-
-  // Forward caches.
-  Tensor q_, k_, v_;
-  std::vector<Tensor> attn_;  // per-head n×n softmax weights
-  std::vector<bool> mask_;
 };
 
 // One pre-LayerNorm transformer encoder block:
@@ -166,12 +173,10 @@ class TransformerLayer {
   TransformerLayer() = default;
   TransformerLayer(size_t dim, size_t num_heads, size_t ffn_dim, Rng& rng);
 
-  Tensor Forward(const Tensor& x, const std::vector<bool>& mask);
-  Tensor Backward(const Tensor& dy);
-
-  // Scratch-free inference twin of Forward().
-  void ForwardInference(const Tensor& x, const std::vector<bool>& mask,
-                        InferenceArena& arena, Tensor& out) const;
+  void Forward(const Tensor& x, const std::vector<bool>& mask,
+               InferenceArena& arena, Tensor& out,
+               TransformerLayerTape* tape) const;
+  Tensor Backward(const TransformerLayerTape& tape, const Tensor& dy);
 
   void CollectParams(std::vector<Param*>& out);
 
@@ -185,7 +190,6 @@ class TransformerLayer {
   LayerNorm ln1_, ln2_;
   MultiHeadSelfAttention attn_;
   Linear ffn1_, ffn2_;
-  Gelu gelu_;
 };
 
 }  // namespace lshap

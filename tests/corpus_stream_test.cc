@@ -26,7 +26,7 @@ namespace {
 class HashScorer : public FactScorer {
  public:
   ShapleyValues Score(const Corpus& corpus, size_t entry_idx,
-                      size_t contrib_idx) override {
+                      size_t contrib_idx) const override {
     const TupleContribution& c =
         corpus.entries[entry_idx].contributions[contrib_idx];
     ShapleyValues out;
@@ -34,9 +34,6 @@ class HashScorer : public FactScorer {
       out[f] = static_cast<double>((f * 2654435761u) % 1000u);
     }
     return out;
-  }
-  std::unique_ptr<FactScorer> Clone() const override {
-    return std::make_unique<HashScorer>();
   }
   std::string name() const override { return "hash"; }
 };

@@ -13,14 +13,15 @@
 namespace lshap {
 namespace {
 
-TEST(TensorTest, MatMulKnownValues) {
+TEST(TensorTest, MatMulIntoKnownValues) {
   Tensor a(2, 3);
   Tensor b(3, 2);
   float av = 1.0f;
   for (size_t i = 0; i < a.size(); ++i) a.data()[i] = av++;
   float bv = 1.0f;
   for (size_t i = 0; i < b.size(); ++i) b.data()[i] = bv++;
-  const Tensor c = MatMul(a, b);
+  Tensor c;
+  MatMulInto(a, b, c);
   // a = [[1,2,3],[4,5,6]], b = [[1,2],[3,4],[5,6]]
   EXPECT_FLOAT_EQ(c.at(0, 0), 22.0f);
   EXPECT_FLOAT_EQ(c.at(0, 1), 28.0f);
@@ -91,16 +92,26 @@ void CheckParamGradients(std::vector<Param*> params, const ForwardFn& forward,
   }
 }
 
+// Each check runs one taped forward, feeds `coeff` to Backward, then
+// compares against finite differences of the untaped (inference) forward.
+
 TEST(GradientCheck, Linear) {
   Rng rng(1);
   Linear lin(5, 4, rng);
   const Tensor x = Tensor::Randn(3, 5, 1.0f, rng);
   const Tensor coeff = Tensor::Randn(3, 4, 1.0f, rng);
-  lin.Forward(x);
-  lin.Backward(coeff);
+  auto forward = [&] {
+    Tensor y;
+    lin.Forward(x, y, nullptr);
+    return y;
+  };
+  LinearTape tape;
+  Tensor y;
+  lin.Forward(x, y, &tape);
+  lin.Backward(tape, coeff);
   std::vector<Param*> params;
   lin.CollectParams(params);
-  CheckParamGradients(params, [&] { return lin.Forward(x); }, coeff, 2e-2f);
+  CheckParamGradients(params, forward, coeff, 2e-2f);
 }
 
 TEST(GradientCheck, LinearInputGradient) {
@@ -108,15 +119,22 @@ TEST(GradientCheck, LinearInputGradient) {
   Linear lin(4, 3, rng);
   Tensor x = Tensor::Randn(2, 4, 1.0f, rng);
   const Tensor coeff = Tensor::Randn(2, 3, 1.0f, rng);
-  lin.Forward(x);
-  const Tensor dx = lin.Backward(coeff);
+  auto forward = [&] {
+    Tensor y;
+    lin.Forward(x, y, nullptr);
+    return y;
+  };
+  LinearTape tape;
+  Tensor y;
+  lin.Forward(x, y, &tape);
+  const Tensor dx = lin.Backward(tape, coeff);
   const float eps = 1e-3f;
   for (size_t i = 0; i < x.size(); ++i) {
     const float orig = x.data()[i];
     x.data()[i] = orig + eps;
-    const float up = WeightedSum(lin.Forward(x), coeff);
+    const float up = WeightedSum(forward(), coeff);
     x.data()[i] = orig - eps;
-    const float down = WeightedSum(lin.Forward(x), coeff);
+    const float down = WeightedSum(forward(), coeff);
     x.data()[i] = orig;
     EXPECT_NEAR(dx.data()[i], (up - down) / (2 * eps), 2e-2f);
   }
@@ -127,11 +145,20 @@ TEST(GradientCheck, LayerNorm) {
   LayerNorm ln(6);
   const Tensor x = Tensor::Randn(4, 6, 1.0f, rng);
   const Tensor coeff = Tensor::Randn(4, 6, 1.0f, rng);
-  ln.Forward(x);
-  ln.Backward(coeff);
+  auto forward = [&] {
+    InferenceArena arena;
+    Tensor y;
+    ln.Forward(x, arena, y, nullptr);
+    return y;
+  };
+  InferenceArena arena;
+  LayerNormTape tape;
+  Tensor y;
+  ln.Forward(x, arena, y, &tape);
+  ln.Backward(tape, coeff);
   std::vector<Param*> params;
   ln.CollectParams(params);
-  CheckParamGradients(params, [&] { return ln.Forward(x); }, coeff, 2e-2f);
+  CheckParamGradients(params, forward, coeff, 2e-2f);
 }
 
 TEST(GradientCheck, LayerNormInputGradient) {
@@ -139,15 +166,24 @@ TEST(GradientCheck, LayerNormInputGradient) {
   LayerNorm ln(5);
   Tensor x = Tensor::Randn(2, 5, 1.0f, rng);
   const Tensor coeff = Tensor::Randn(2, 5, 1.0f, rng);
-  ln.Forward(x);
-  const Tensor dx = ln.Backward(coeff);
+  auto forward = [&] {
+    InferenceArena arena;
+    Tensor y;
+    ln.Forward(x, arena, y, nullptr);
+    return y;
+  };
+  InferenceArena arena;
+  LayerNormTape tape;
+  Tensor y;
+  ln.Forward(x, arena, y, &tape);
+  const Tensor dx = ln.Backward(tape, coeff);
   const float eps = 1e-3f;
   for (size_t i = 0; i < x.size(); ++i) {
     const float orig = x.data()[i];
     x.data()[i] = orig + eps;
-    const float up = WeightedSum(ln.Forward(x), coeff);
+    const float up = WeightedSum(forward(), coeff);
     x.data()[i] = orig - eps;
-    const float down = WeightedSum(ln.Forward(x), coeff);
+    const float down = WeightedSum(forward(), coeff);
     x.data()[i] = orig;
     EXPECT_NEAR(dx.data()[i], (up - down) / (2 * eps), 3e-2f);
   }
@@ -155,18 +191,24 @@ TEST(GradientCheck, LayerNormInputGradient) {
 
 TEST(GradientCheck, Gelu) {
   Rng rng(5);
-  Gelu gelu;
   Tensor x = Tensor::Randn(3, 4, 1.0f, rng);
   const Tensor coeff = Tensor::Randn(3, 4, 1.0f, rng);
-  gelu.Forward(x);
-  const Tensor dx = gelu.Backward(coeff);
+  auto forward = [&] {
+    Tensor y;
+    Gelu::Forward(x, y, nullptr);
+    return y;
+  };
+  GeluTape tape;
+  Tensor y;
+  Gelu::Forward(x, y, &tape);
+  const Tensor dx = Gelu::Backward(tape, coeff);
   const float eps = 1e-3f;
   for (size_t i = 0; i < x.size(); ++i) {
     const float orig = x.data()[i];
     x.data()[i] = orig + eps;
-    const float up = WeightedSum(gelu.Forward(x), coeff);
+    const float up = WeightedSum(forward(), coeff);
     x.data()[i] = orig - eps;
-    const float down = WeightedSum(gelu.Forward(x), coeff);
+    const float down = WeightedSum(forward(), coeff);
     x.data()[i] = orig;
     EXPECT_NEAR(dx.data()[i], (up - down) / (2 * eps), 2e-2f);
   }
@@ -178,12 +220,20 @@ TEST(GradientCheck, MultiHeadAttention) {
   const Tensor x = Tensor::Randn(5, 8, 0.5f, rng);
   const std::vector<bool> mask(5, true);
   const Tensor coeff = Tensor::Randn(5, 8, 1.0f, rng);
-  attn.Forward(x, mask);
-  attn.Backward(coeff);
+  auto forward = [&] {
+    InferenceArena arena;
+    Tensor out;
+    attn.Forward(x, mask, arena, out, nullptr);
+    return out;
+  };
+  InferenceArena arena;
+  AttentionTape tape;
+  Tensor out;
+  attn.Forward(x, mask, arena, out, &tape);
+  attn.Backward(tape, coeff);
   std::vector<Param*> params;
   attn.CollectParams(params);
-  CheckParamGradients(params, [&] { return attn.Forward(x, mask); }, coeff,
-                      3e-2f);
+  CheckParamGradients(params, forward, coeff, 3e-2f);
 }
 
 TEST(GradientCheck, FullEncoder) {
@@ -200,10 +250,18 @@ TEST(GradientCheck, FullEncoder) {
   const std::vector<bool> mask(5, true);
   Rng rng(8);
   const Tensor coeff = Tensor::Randn(5, 8, 1.0f, rng);
-  enc.Forward(ids, mask);
-  enc.Backward(coeff);
-  CheckParamGradients(enc.Params(), [&] { return enc.Forward(ids, mask); },
-                      coeff, 4e-2f);
+  auto forward = [&] {
+    InferenceArena arena;
+    Tensor out;
+    enc.Forward(ids, mask, arena, out, nullptr);
+    return out;
+  };
+  InferenceArena arena;
+  EncoderTape tape;
+  Tensor out;
+  enc.Forward(ids, mask, arena, out, &tape);
+  enc.Backward(tape, coeff);
+  CheckParamGradients(enc.Params(), forward, coeff, 4e-2f);
 }
 
 TEST(AttentionTest, PaddingMaskExcludesKeys) {
@@ -211,10 +269,14 @@ TEST(AttentionTest, PaddingMaskExcludesKeys) {
   MultiHeadSelfAttention attn(8, 2, rng);
   Tensor x = Tensor::Randn(4, 8, 0.5f, rng);
   std::vector<bool> mask = {true, true, true, false};
-  const Tensor out_masked = attn.Forward(x, mask);
+  InferenceArena arena;
+  Tensor out_masked;
+  attn.Forward(x, mask, arena, out_masked, nullptr);
   // Changing the masked position's content must not affect other outputs.
   for (size_t c = 0; c < 8; ++c) x.at(3, c) += 10.0f;
-  const Tensor out_changed = attn.Forward(x, mask);
+  arena.Reset();
+  Tensor out_changed;
+  attn.Forward(x, mask, arena, out_changed, nullptr);
   for (size_t r = 0; r < 3; ++r) {
     for (size_t c = 0; c < 8; ++c) {
       EXPECT_NEAR(out_masked.at(r, c), out_changed.at(r, c), 1e-5);
@@ -238,8 +300,11 @@ TEST(AdamTest, LearnsLinearRegression) {
   float last_loss = 0.0f;
   for (int step = 0; step < 300; ++step) {
     const Tensor x = Tensor::Randn(8, 3, 1.0f, rng);
-    const Tensor target = MatMul(x, w_star);
-    const Tensor pred = model.Forward(x);
+    Tensor target;
+    MatMulInto(x, w_star, target);
+    LinearTape tape;
+    Tensor pred;
+    model.Forward(x, pred, &tape);
     Tensor d(8, 1);
     last_loss = 0.0f;
     for (size_t i = 0; i < 8; ++i) {
@@ -247,7 +312,7 @@ TEST(AdamTest, LearnsLinearRegression) {
       d.at(i, 0) = 2.0f * err / 8.0f;
       last_loss += err * err / 8.0f;
     }
-    model.Backward(d);
+    model.Backward(tape, d);
     opt.Step();
   }
   EXPECT_LT(last_loss, 1e-3f);

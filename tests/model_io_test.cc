@@ -75,8 +75,9 @@ TEST_F(ModelIoTest, RawModelOutputsExactlyPreserved) {
   EncodedPair input;
   input.ids = {Vocab::kCls, 7, 9, Vocab::kSep, 11};
   input.mask.assign(input.ids.size(), true);
-  EXPECT_FLOAT_EQ(trained.ranker->model().PredictShapley(input),
-                  (*loaded)->model().PredictShapley(input));
+  InferenceArena arena;
+  EXPECT_FLOAT_EQ(trained.ranker->model().PredictShapley(input, arena),
+                  (*loaded)->model().PredictShapley(input, arena));
 }
 
 TEST_F(ModelIoTest, LoadRejectsGarbage) {
@@ -128,8 +129,9 @@ TEST_F(ModelIoTest, QuantizedSectionRoundTrips) {
             (*loaded)->quantized_model()->PredictShapley(input, b));
 
   // And so do the float weights next to them.
-  EXPECT_EQ(trained.ranker->model().PredictShapley(input),
-            (*loaded)->model().PredictShapley(input));
+  InferenceArena arena;
+  EXPECT_EQ(trained.ranker->model().PredictShapley(input, arena),
+            (*loaded)->model().PredictShapley(input, arena));
 }
 
 TEST_F(ModelIoTest, CorruptedQuantSectionIsRejected) {

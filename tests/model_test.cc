@@ -1,5 +1,5 @@
 // Unit tests of the LearnShapley model wrapper: heads, training steps,
-// weight snapshots, determinism and clone independence.
+// weight snapshots, determinism and copy independence.
 #include <gtest/gtest.h>
 
 #include "learnshapley/model.h"
@@ -25,13 +25,24 @@ EncodedPair MakeInput(std::initializer_list<int> ids) {
   return p;
 }
 
+float Predict(const LearnShapleyModel& m, const EncodedPair& input) {
+  InferenceArena arena;
+  return m.PredictShapley(input, arena);
+}
+
+LearnShapleyModel::Similarities PredictSims(const LearnShapleyModel& m,
+                                            const EncodedPair& input) {
+  InferenceArena arena;
+  return m.PredictSimilarities(input, arena);
+}
+
 TEST(ModelTest, DeterministicConstruction) {
   LearnShapleyModel a(TinyConfig(), 42);
   LearnShapleyModel b(TinyConfig(), 42);
   const EncodedPair input = MakeInput({1, 5, 6, 2, 7});
-  EXPECT_FLOAT_EQ(a.PredictShapley(input), b.PredictShapley(input));
-  const auto sa = a.PredictSimilarities(input);
-  const auto sb = b.PredictSimilarities(input);
+  EXPECT_FLOAT_EQ(Predict(a, input), Predict(b, input));
+  const auto sa = PredictSims(a, input);
+  const auto sb = PredictSims(b, input);
   EXPECT_FLOAT_EQ(sa.rank, sb.rank);
   EXPECT_FLOAT_EQ(sa.witness, sb.witness);
   EXPECT_FLOAT_EQ(sa.syntax, sb.syntax);
@@ -41,7 +52,7 @@ TEST(ModelTest, DifferentSeedsGiveDifferentModels) {
   LearnShapleyModel a(TinyConfig(), 1);
   LearnShapleyModel b(TinyConfig(), 2);
   const EncodedPair input = MakeInput({1, 5, 6, 2, 7});
-  EXPECT_NE(a.PredictShapley(input), b.PredictShapley(input));
+  EXPECT_NE(Predict(a, input), Predict(b, input));
 }
 
 TEST(ModelTest, FinetuneStepAccumulatesGradients) {
@@ -64,7 +75,7 @@ TEST(ModelTest, PretrainStepRespectsObjectiveMask) {
   const EncodedPair input = MakeInput({1, 5, 2, 6});
   // With only the syntax objective enabled, the loss is exactly the syntax
   // head's squared error — the other heads' (large) targets are ignored.
-  const auto sims = m.PredictSimilarities(input);
+  const auto sims = PredictSims(m, input);
   PretrainObjectives only_syntax{false, false, true};
   const float loss = m.PretrainStep(input, /*sim_rank=*/1e3, /*sim_witness=*/
                                     1e3, /*sim_syntax=*/0.25, only_syntax);
@@ -81,7 +92,7 @@ TEST(ModelTest, PretrainStepRespectsObjectiveMask) {
 TEST(ModelTest, SnapshotRestoreRoundTrip) {
   LearnShapleyModel m(TinyConfig(), 5);
   const EncodedPair input = MakeInput({1, 5, 6, 2});
-  const float before = m.PredictShapley(input);
+  const float before = Predict(m, input);
   const auto snapshot = m.SnapshotWeights();
 
   // Crudely perturb every weight.
@@ -90,17 +101,17 @@ TEST(ModelTest, SnapshotRestoreRoundTrip) {
       p->value.data()[i] += 0.5f;
     }
   }
-  EXPECT_NE(m.PredictShapley(input), before);
+  EXPECT_NE(Predict(m, input), before);
 
   m.RestoreWeights(snapshot);
-  EXPECT_FLOAT_EQ(m.PredictShapley(input), before);
+  EXPECT_FLOAT_EQ(Predict(m, input), before);
 }
 
 TEST(ModelTest, CopyIsIndependent) {
   LearnShapleyModel a(TinyConfig(), 6);
   LearnShapleyModel b = a;
   const EncodedPair input = MakeInput({1, 5, 6, 2});
-  const float before = b.PredictShapley(input);
+  const float before = Predict(b, input);
   // Train the original; the copy must not move.
   a.FinetuneStep(input, 100.0f);
   for (Param* p : a.Params()) {
@@ -108,8 +119,8 @@ TEST(ModelTest, CopyIsIndependent) {
       p->value.data()[i] += 0.1f;
     }
   }
-  EXPECT_FLOAT_EQ(b.PredictShapley(input), before);
-  EXPECT_NE(a.PredictShapley(input), before);
+  EXPECT_FLOAT_EQ(Predict(b, input), before);
+  EXPECT_NE(Predict(a, input), before);
 }
 
 TEST(ModelTest, ParamsCoverEncoderAndHeads) {

@@ -3,8 +3,8 @@
 //  - KernelBitEquality: the AVX2 and scalar kernels are bit-equal on random
 //    shapes (this is what lets the AVX2-disabled CI leg certify the scalar
 //    fallback as the same function).
-//  - Float inference twins: the const arena-based ForwardInference path is
-//    bit-identical to the mutating training forward.
+//  - Float forward, tape on vs. off: recording the activation tape for
+//    training does not change the one const forward's output by a bit.
 //  - QuantizedLinear: codes reconstruct the float weights within half a
 //    quantization step, and the int8 forward stays inside the analytic
 //    error bound of the scheme.
@@ -160,9 +160,9 @@ TEST(SimdExpApproxTest, TracksStdExpAndMasksToZero) {
   EXPECT_GT(SimdExpApprox(-80.0f), 0.0f);
 }
 
-// ---- Float inference twins ----
+// ---- Float forward: tape on vs. tape off ----
 
-TEST(FloatInferenceTest, EncoderForwardInferenceIsBitIdentical) {
+TEST(FloatInferenceTest, EncoderTapeDoesNotChangeForward) {
   EncoderConfig cfg;
   cfg.vocab_size = 40;
   cfg.max_len = 12;
@@ -174,6 +174,8 @@ TEST(FloatInferenceTest, EncoderForwardInferenceIsBitIdentical) {
   TransformerEncoder enc(cfg);
   Rng rng(22);
   InferenceArena arena;
+  InferenceArena taped_arena;
+  EncoderTape tape;
   for (int trial = 0; trial < 5; ++trial) {
     const size_t len = 3 + rng.NextBounded(9);
     std::vector<int> ids;
@@ -183,11 +185,14 @@ TEST(FloatInferenceTest, EncoderForwardInferenceIsBitIdentical) {
           Vocab::kNumSpecial +
           rng.NextBounded(cfg.vocab_size - Vocab::kNumSpecial)));
     }
-    const std::vector<bool> mask(len, true);
-    const Tensor want = enc.Forward(ids, mask);
+    std::vector<bool> mask(len, true);
+    mask[len - 1] = trial % 2 == 0;  // exercise the padding mask too
     arena.Reset();
+    Tensor want;
+    enc.Forward(ids, mask, arena, want, nullptr);
+    taped_arena.Reset();
     Tensor got;
-    enc.ForwardInference(ids, mask, arena, got);
+    enc.Forward(ids, mask, taped_arena, got, &tape);
     ASSERT_EQ(got.rows(), want.rows());
     ASSERT_EQ(got.cols(), want.cols());
     for (size_t i = 0; i < want.size(); ++i) {
@@ -196,7 +201,7 @@ TEST(FloatInferenceTest, EncoderForwardInferenceIsBitIdentical) {
   }
 }
 
-TEST(FloatInferenceTest, ModelPredictShapleyTwinsAgreeExactly) {
+TEST(FloatInferenceTest, FinetuneStepPredictsExactlyPredictShapley) {
   EncoderConfig cfg;
   cfg.vocab_size = 30;
   cfg.max_len = 16;
@@ -210,9 +215,13 @@ TEST(FloatInferenceTest, ModelPredictShapleyTwinsAgreeExactly) {
   EncodedPair input;
   input.ids = {Vocab::kCls, 7, 9, Vocab::kSep, 11, 6, Vocab::kSep, 8};
   input.mask.assign(input.ids.size(), true);
-  const float mutating = model.PredictShapley(input);
-  const float via_arena = model.PredictShapley(input, arena);
-  EXPECT_EQ(mutating, via_arena);
+  // With target 0 the step's loss is its prediction squared, so equal
+  // losses mean the taped training forward predicted exactly what the
+  // const inference forward does.
+  const float predicted = model.PredictShapley(input, arena);
+  EXPECT_EQ(model.FinetuneStep(input, 0.0f), predicted * predicted);
+  // The step only accumulated gradients; the const prediction is unmoved.
+  EXPECT_EQ(model.PredictShapley(input, arena), predicted);
 }
 
 // ---- QuantizedLinear ----

@@ -12,9 +12,13 @@
 #       sharded metrics registry (metrics_test), the corpus shard
 #       streaming layer — concurrent ReadShard + cursor prefetch
 #       (corpus_stream_test) — the ranking service: concurrent
-#       Submit/Rank with snapshot swaps under load (serving_test) — and
-#       the shared const ranker scored from many threads in both float
-#       and int8 inference modes (quant_test).
+#       Submit/Rank with snapshot swaps under load (serving_test) — the
+#       shared const ranker scored from many threads in both float and
+#       int8 inference modes (quant_test), and the learnshapley training
+#       and evaluation paths: data-parallel training over partition
+#       clones, PairMse and EvaluateScorer scoring one shared const model
+#       or scorer from every worker, and a shared scorer hit from raw
+#       threads (learnshapley_test, model_test).
 #   serve — plain build, then a short closed-loop bench_serve smoke run
 #       (warm / overload / chaos phases). Exits non-zero if any phase
 #       violates the zero-silent-drops accounting invariant.
@@ -37,7 +41,7 @@ case "$MODE" in
     CMAKE_MODE=thread
     # ^metrics_test$ is anchored: a bare 'metrics_test' would also match
     # ranking_metrics_test, which is single-threaded and slow under TSan.
-    TEST_ARGS=(-R 'eval_property_test|null_semantics_test|budget_test|common_test|^metrics_test$|corpus_stream_test|serving_test|quant_test')
+    TEST_ARGS=(-R 'eval_property_test|null_semantics_test|budget_test|common_test|^metrics_test$|corpus_stream_test|serving_test|quant_test|learnshapley_test|^model_test$')
     ;;
   serve)
     BUILD_DIR="${BUILD_DIR:-build}"
