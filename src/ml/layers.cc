@@ -169,6 +169,21 @@ Tensor Gelu::Backward(const GeluTape& tape, const Tensor& dy) {
 
 // -------------------------------------------------- MultiHeadSelfAttention
 
+void AttentionScores(const Tensor& q, const Tensor& k, size_t off,
+                     size_t head_dim, const std::vector<bool>& mask,
+                     Tensor& scores) {
+  const size_t n = q.rows();
+  GemmABT(n, head_dim, n, q.data() + off, q.cols(), k.data() + off, k.cols(),
+          scores.data(), n);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  for (size_t i = 0; i < n; ++i) {
+    float* srow = scores.row_data(i);
+    for (size_t j = 0; j < n; ++j) {
+      srow[j] = mask[j] ? srow[j] * scale : -1e30f;
+    }
+  }
+}
+
 MultiHeadSelfAttention::MultiHeadSelfAttention(size_t dim, size_t num_heads,
                                                Rng& rng)
     : dim_(dim),
@@ -203,25 +218,10 @@ void MultiHeadSelfAttention::Forward(const Tensor& x,
   // Inference reuses one score buffer across heads; training keeps every
   // head's softmax weights for the backward pass.
   Tensor* shared_scores = tape != nullptr ? nullptr : &arena.Get(n, n);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   for (size_t h = 0; h < num_heads_; ++h) {
     const size_t off = h * head_dim_;
     Tensor& scores = tape != nullptr ? arena.Get(n, n) : *shared_scores;
-    // Scores: s[i][j] = (q_i · k_j) * scale over this head's slice.
-    for (size_t i = 0; i < n; ++i) {
-      const float* qi = q.row_data(i) + off;
-      float* srow = scores.row_data(i);
-      for (size_t j = 0; j < n; ++j) {
-        if (!mask[j]) {
-          srow[j] = -1e30f;
-          continue;
-        }
-        const float* kj = k.row_data(j) + off;
-        float dot = 0.0f;
-        for (size_t c = 0; c < head_dim_; ++c) dot += qi[c] * kj[c];
-        srow[j] = dot * scale;
-      }
-    }
+    AttentionScores(q, k, off, head_dim_, mask, scores);
     // Row softmax.
     for (size_t i = 0; i < n; ++i) {
       float* srow = scores.row_data(i);
@@ -235,18 +235,9 @@ void MultiHeadSelfAttention::Forward(const Tensor& x,
       const float inv = 1.0f / sum;
       for (size_t j = 0; j < n; ++j) srow[j] *= inv;
     }
-    // Head output: attn · V_head, written into the concat slice.
-    for (size_t i = 0; i < n; ++i) {
-      const float* arow = scores.row_data(i);
-      float* orow = concat.row_data(i) + off;
-      for (size_t c = 0; c < head_dim_; ++c) orow[c] = 0.0f;
-      for (size_t j = 0; j < n; ++j) {
-        const float a = arow[j];
-        if (a == 0.0f) continue;
-        const float* vj = v.row_data(j) + off;
-        for (size_t c = 0; c < head_dim_; ++c) orow[c] += a * vj[c];
-      }
-    }
+    // Head output P·V_h, written into the concat slice.
+    Gemm(n, n, head_dim_, scores.data(), n, v.data() + off, dim_,
+         concat.data() + off, dim_);
     if (tape != nullptr) tape->attn[h] = &scores;
   }
   out_proj_.Forward(concat, out, tape != nullptr ? &tape->out_proj : nullptr);
@@ -260,56 +251,35 @@ Tensor MultiHeadSelfAttention::Backward(const AttentionTape& tape,
   Tensor dq(n, dim_);
   Tensor dk(n, dim_);
   Tensor dv(n, dim_);
+  Tensor d_attn(n, n);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
 
   for (size_t h = 0; h < num_heads_; ++h) {
     const size_t off = h * head_dim_;
     const Tensor& attn = *tape.attn[h];
+    const float* d_out = d_concat.data() + off;
 
-    // dV_head[j] += Σ_i attn[i][j] · d_out[i];  d_attn[i][j] = d_out[i]·V[j].
-    Tensor d_attn(n, n);
-    for (size_t i = 0; i < n; ++i) {
-      const float* doi = d_concat.row_data(i) + off;
-      const float* arow = attn.row_data(i);
-      float* darow = d_attn.row_data(i);
-      for (size_t j = 0; j < n; ++j) {
-        const float* vj = tape.v->row_data(j) + off;
-        float dot = 0.0f;
-        for (size_t c = 0; c < head_dim_; ++c) dot += doi[c] * vj[c];
-        darow[j] = dot;
-        const float a = arow[j];
-        if (a != 0.0f) {
-          float* dvj = dv.row_data(j) + off;
-          for (size_t c = 0; c < head_dim_; ++c) dvj[c] += a * doi[c];
-        }
-      }
-    }
-    // Softmax backward per row: ds = a ⊙ (d_attn − Σ_j a_j d_attn_j).
+    // d_attn = dO_h·V_hᵀ;  dV_h = Pᵀ·dO_h.
+    GemmABT(n, head_dim_, n, d_out, dim_, tape.v->data() + off, dim_,
+            d_attn.data(), n);
+    GemmATB(n, n, head_dim_, attn.data(), n, d_out, dim_, dv.data() + off,
+            dim_);
+    // Softmax backward per row, with the score scale folded in:
+    // dS = a ⊙ (d_attn − Σ_j a_j d_attn_j) · scale.
     for (size_t i = 0; i < n; ++i) {
       const float* arow = attn.row_data(i);
       float* darow = d_attn.row_data(i);
       float dot = 0.0f;
       for (size_t j = 0; j < n; ++j) dot += arow[j] * darow[j];
       for (size_t j = 0; j < n; ++j) {
-        darow[j] = arow[j] * (darow[j] - dot);
+        darow[j] = arow[j] * (darow[j] - dot) * scale;
       }
     }
-    // Scores backward: dq_i += Σ_j ds[i][j]·k_j·scale; dk_j += Σ_i ds·q_i.
-    for (size_t i = 0; i < n; ++i) {
-      const float* dsrow = d_attn.row_data(i);
-      const float* qi = tape.q->row_data(i) + off;
-      float* dqi = dq.row_data(i) + off;
-      for (size_t j = 0; j < n; ++j) {
-        const float ds = dsrow[j] * scale;
-        if (ds == 0.0f) continue;
-        const float* kj = tape.k->row_data(j) + off;
-        float* dkj = dk.row_data(j) + off;
-        for (size_t c = 0; c < head_dim_; ++c) {
-          dqi[c] += ds * kj[c];
-          dkj[c] += ds * qi[c];
-        }
-      }
-    }
+    // dQ_h = dS·K_h;  dK_h = dSᵀ·Q_h.
+    Gemm(n, n, head_dim_, d_attn.data(), n, tape.k->data() + off, dim_,
+         dq.data() + off, dim_);
+    GemmATB(n, n, head_dim_, d_attn.data(), n, tape.q->data() + off, dim_,
+            dk.data() + off, dim_);
   }
 
   Tensor dx = q_proj_.Backward(tape.q_proj, dq);

@@ -137,6 +137,14 @@ struct Gelu {
   static Tensor Backward(const GeluTape& tape, const Tensor& dy);
 };
 
+// One head's scaled, masked attention scores into the n×n `scores`:
+// s[i][j] = (q_i · k_j)/√head_dim over columns [off, off + head_dim) of the
+// n×dim q and k, or -1e30 where !mask[j]. Shared by the float and the
+// quantized attention.
+void AttentionScores(const Tensor& q, const Tensor& k, size_t off,
+                     size_t head_dim, const std::vector<bool>& mask,
+                     Tensor& scores);
+
 // Multi-head scaled-dot-product self-attention with padding mask.
 class MultiHeadSelfAttention {
  public:

@@ -130,35 +130,12 @@ void QuantizedTransformerLayer::Forward(const Tensor& x,
 
   Tensor& concat = arena.Get(n, dim);
   Tensor& scores = arena.Get(n, n);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   for (size_t h = 0; h < num_heads; ++h) {
     const size_t off = h * head_dim;
-    for (size_t i = 0; i < n; ++i) {
-      const float* qi = q.row_data(i) + off;
-      float* srow = scores.row_data(i);
-      for (size_t j = 0; j < n; ++j) {
-        if (!mask[j]) {
-          srow[j] = -1e30f;
-          continue;
-        }
-        const float* kj = k.row_data(j) + off;
-        float dot = 0.0f;
-        for (size_t c = 0; c < head_dim; ++c) dot += qi[c] * kj[c];
-        srow[j] = dot * scale;
-      }
-    }
+    AttentionScores(q, k, off, head_dim, mask, scores);
     for (size_t i = 0; i < n; ++i) kernels.softmax(scores.row_data(i), n);
-    for (size_t i = 0; i < n; ++i) {
-      const float* arow = scores.row_data(i);
-      float* orow = concat.row_data(i) + off;
-      for (size_t c = 0; c < head_dim; ++c) orow[c] = 0.0f;
-      for (size_t j = 0; j < n; ++j) {
-        const float a = arow[j];
-        if (a == 0.0f) continue;
-        const float* vj = v.row_data(j) + off;
-        for (size_t c = 0; c < head_dim; ++c) orow[c] += a * vj[c];
-      }
-    }
+    Gemm(n, n, head_dim, scores.data(), n, v.data() + off, dim,
+         concat.data() + off, dim);
   }
 
   Tensor& attn_out = arena.Get(n, dim);

@@ -143,11 +143,27 @@ void QuantizeRowScalar(const float* x, size_t n, int8_t* out, float* scale) {
   }
 }
 
+void GemmF32Scalar(size_t n, size_t k, size_t m, const float* a, size_t ars,
+                   size_t acs, const float* b, size_t ldb, float* c,
+                   size_t ldc) {
+  for (size_t i = 0; i < n; ++i) {
+    const float* arow = a + i * ars;
+    float* crow = c + i * ldc;
+    std::fill(crow, crow + m, 0.0f);
+    for (size_t p = 0; p < k; ++p) {
+      const float av = arow[p * acs];
+      const float* brow = b + p * ldb;
+      for (size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
 constexpr SimdKernelTable kScalarTable = {
     DotInt8Scalar,
     GeluScalar,
     SoftmaxScalar,
     QuantizeRowScalar,
+    GemmF32Scalar,
 };
 
 // -------------------------------------------------------------- AVX2 path
@@ -313,11 +329,105 @@ LSHAP_AVX2_FN void QuantizeRowAvx2(const float* x, size_t n, int8_t* out,
   }
 }
 
+// One register tile of C: R rows × V vectors of 8 columns, summed over all
+// k terms before a single store. Each lane keeps its own running sum, so
+// every output sees the scalar path's exact mul/add sequence. kMasked
+// handles the last 1-7 columns (V == 1) with masked loads and stores. The
+// loops over R and V are fully unrolled so the accumulators stay in
+// registers.
+template <size_t R, size_t V, bool kMasked>
+LSHAP_AVX2_FN inline void GemmTileAvx2(size_t k, const float* a, size_t ars,
+                                       size_t acs, const float* b,
+                                       size_t ldb, float* c, size_t ldc,
+                                       __m256i tail) {
+  __m256 acc[R * V];
+#pragma GCC unroll 8
+  for (size_t t = 0; t < R * V; ++t) acc[t] = _mm256_setzero_ps();
+  for (size_t p = 0; p < k; ++p) {
+    const float* brow = b + p * ldb;
+    __m256 bv[V];
+#pragma GCC unroll 2
+    for (size_t v = 0; v < V; ++v) {
+      bv[v] = kMasked ? _mm256_maskload_ps(brow + 8 * v, tail)
+                      : _mm256_loadu_ps(brow + 8 * v);
+    }
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(a + r * ars + p * acs);
+#pragma GCC unroll 2
+      for (size_t v = 0; v < V; ++v) {
+        acc[r * V + v] =
+            _mm256_add_ps(acc[r * V + v], _mm256_mul_ps(av, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (size_t v = 0; v < V; ++v) {
+      float* dst = c + r * ldc + 8 * v;
+      if (kMasked) {
+        _mm256_maskstore_ps(dst, tail, acc[r * V + v]);
+      } else {
+        _mm256_storeu_ps(dst, acc[r * V + v]);
+      }
+    }
+  }
+}
+
+// R rows of C, left to right: 16-column tiles, then an 8-column tile, then
+// a masked tile for the remainder.
+template <size_t R>
+LSHAP_AVX2_FN void GemmRowsAvx2(size_t k, size_t m, const float* a,
+                                size_t ars, size_t acs, const float* b,
+                                size_t ldb, float* c, size_t ldc) {
+  const __m256i none = _mm256_setzero_si256();
+  size_t j = 0;
+  for (; j + 16 <= m; j += 16) {
+    GemmTileAvx2<R, 2, false>(k, a, ars, acs, b + j, ldb, c + j, ldc, none);
+  }
+  if (j + 8 <= m) {
+    GemmTileAvx2<R, 1, false>(k, a, ars, acs, b + j, ldb, c + j, ldc, none);
+    j += 8;
+  }
+  if (j < m) {
+    const __m256i tail =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(m - j)),
+                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    GemmTileAvx2<R, 1, true>(k, a, ars, acs, b + j, ldb, c + j, ldc, tail);
+  }
+}
+
+LSHAP_AVX2_FN void GemmF32Avx2(size_t n, size_t k, size_t m, const float* a,
+                               size_t ars, size_t acs, const float* b,
+                               size_t ldb, float* c, size_t ldc) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    GemmRowsAvx2<4>(k, m, a + i * ars, ars, acs, b, ldb, c + i * ldc, ldc);
+  }
+  const float* ai = a + i * ars;
+  float* ci = c + i * ldc;
+  switch (n - i) {
+    case 3:
+      GemmRowsAvx2<3>(k, m, ai, ars, acs, b, ldb, ci, ldc);
+      break;
+    case 2:
+      GemmRowsAvx2<2>(k, m, ai, ars, acs, b, ldb, ci, ldc);
+      break;
+    case 1:
+      GemmRowsAvx2<1>(k, m, ai, ars, acs, b, ldb, ci, ldc);
+      break;
+    default:
+      break;
+  }
+}
+
 constexpr SimdKernelTable kAvx2Table = {
     DotInt8Avx2,
     GeluAvx2,
     SoftmaxAvx2,
     QuantizeRowAvx2,
+    GemmF32Avx2,
 };
 
 #undef LSHAP_AVX2_FN

@@ -6,17 +6,23 @@
 
 namespace lshap {
 
-// Runtime-dispatched SIMD kernels for the quantized inference path
-// (DESIGN.md §12). Two implementations exist for every kernel — AVX2 and a
-// portable scalar fallback — selected once behind a single dispatch point
-// (the kernel table returned by SimdKernels()). The two are bit-equal by
-// construction:
+// Runtime-dispatched SIMD kernels for the float MiniBERT matmuls and the
+// quantized inference path (DESIGN.md §12). Two implementations exist for
+// every kernel — AVX2 and a portable scalar fallback — selected once behind
+// a single dispatch point (the kernel table returned by SimdKernels()). The
+// two are bit-equal by construction:
 //
 //  - integer kernels (DotInt8) accumulate in int32, where order is exact;
-//  - float kernels share one polynomial exp approximation, perform the same
-//    IEEE operation sequence per element, and reductions (softmax max/sum,
-//    row-amax) use the same 8-lane accumulator tree in both variants — the
-//    scalar code *emulates* the vector lanes rather than summing linearly;
+//  - the float GEMM sums every output over the inner index in ascending
+//    order with one rounded multiply and one rounded add per term in both
+//    variants (the AVX2 code runs the per-output sums side by side in
+//    vector lanes, never across lanes), so it is also bit-equal to the
+//    plain p-ordered triple loop the float layers used before it;
+//  - the other float kernels share one polynomial exp approximation,
+//    perform the same IEEE operation sequence per element, and reductions
+//    (softmax max/sum, row-amax) use the same 8-lane accumulator tree in
+//    both variants — the scalar code *emulates* the vector lanes rather
+//    than summing linearly;
 //  - simd.cc is compiled with -ffp-contract=off so the compiler cannot fuse
 //    a*b+c differently between the two paths.
 //
@@ -65,6 +71,16 @@ struct SimdKernelTable {
   // scale 0 and all-zero codes. Writes n codes; the caller zero-pads the
   // tail of `out` up to the block boundary itself.
   void (*quantize_row)(const float* x, size_t n, int8_t* out, float* scale);
+  // C = A·B. A is n×k with element (i, p) at a[i·ars + p·acs], so a
+  // row-major A has (ars, acs) = (lda, 1) and the transpose of a row-major
+  // k×n matrix has (1, lda). B is k×m and C is n×m, both row-major with
+  // row strides ldb and ldc. C is overwritten and must not overlap A or B.
+  // Each c[i][j] is Σ_p a[i][p]·b[p][j], summed from +0 in ascending p
+  // with a separately rounded multiply and add per term. For finite
+  // operands that equals the same sum with a[i][p] == 0 terms skipped.
+  void (*gemm_f32)(size_t n, size_t k, size_t m, const float* a, size_t ars,
+                   size_t acs, const float* b, size_t ldb, float* c,
+                   size_t ldc);
 };
 
 const SimdKernelTable& SimdKernels();

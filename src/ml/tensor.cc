@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "ml/simd.h"
+
 namespace lshap {
 
 Tensor Tensor::Randn(size_t rows, size_t cols, float stddev, Rng& rng) {
@@ -28,68 +30,62 @@ void Tensor::Scale(float s) {
   for (float& v : data_) v *= s;
 }
 
+namespace {
+
+// Copies the rows×cols matrix at src (row stride ld) transposed into a
+// per-thread buffer and returns it (cols×rows, dense). The buffer only
+// grows, so a thread's steady-state backward passes allocate nothing.
+const float* TransposeToScratch(const float* src, size_t rows, size_t cols,
+                                size_t ld) {
+  thread_local std::vector<float> scratch;
+  if (scratch.size() < rows * cols) scratch.resize(rows * cols);
+  float* dst = scratch.data();
+  for (size_t r = 0; r < rows; ++r) {
+    const float* srow = src + r * ld;
+    for (size_t c = 0; c < cols; ++c) dst[c * rows + r] = srow[c];
+  }
+  return dst;
+}
+
+}  // namespace
+
+void Gemm(size_t n, size_t k, size_t m, const float* a, size_t lda,
+          const float* b, size_t ldb, float* c, size_t ldc) {
+  SimdKernels().gemm_f32(n, k, m, a, lda, 1, b, ldb, c, ldc);
+}
+
+void GemmABT(size_t n, size_t k, size_t m, const float* a, size_t lda,
+             const float* b, size_t ldb, float* c, size_t ldc) {
+  // The kernel streams B's rows as vectors, so Bᵀ has to be materialized.
+  Gemm(n, k, m, a, lda, TransposeToScratch(b, m, k, ldb), m, c, ldc);
+}
+
+void GemmATB(size_t n, size_t k, size_t m, const float* a, size_t lda,
+             const float* b, size_t ldb, float* c, size_t ldc) {
+  // The kernel reads A one scalar at a time, so Aᵀ is just a stride swap.
+  SimdKernels().gemm_f32(n, k, m, a, 1, lda, b, ldb, c, ldc);
+}
+
 void MatMulInto(const Tensor& a, const Tensor& b, Tensor& c) {
   LSHAP_CHECK_EQ(a.cols(), b.rows());
   c.Resize(a.rows(), b.cols());
-  const size_t n = a.rows();
-  const size_t k = a.cols();
-  const size_t m = b.cols();
-  for (size_t i = 0; i < n; ++i) {
-    const float* arow = a.row_data(i);
-    float* crow = c.row_data(i);
-    for (size_t p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      const float* brow = b.row_data(p);
-      for (size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
-    }
-  }
+  Gemm(a.rows(), a.cols(), b.cols(), a.data(), a.cols(), b.data(), b.cols(),
+       c.data(), c.cols());
 }
 
 Tensor MatMulATB(const Tensor& a, const Tensor& b) {
   LSHAP_CHECK_EQ(a.rows(), b.rows());
   Tensor c(a.cols(), b.cols());
-  const size_t k = a.rows();
-  const size_t n = a.cols();
-  const size_t m = b.cols();
-  for (size_t p = 0; p < k; ++p) {
-    const float* arow = a.row_data(p);
-    const float* brow = b.row_data(p);
-    for (size_t i = 0; i < n; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = c.row_data(i);
-      for (size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
-    }
-  }
+  GemmATB(a.cols(), a.rows(), b.cols(), a.data(), a.cols(), b.data(),
+          b.cols(), c.data(), c.cols());
   return c;
 }
 
 Tensor MatMulABT(const Tensor& a, const Tensor& b) {
   LSHAP_CHECK_EQ(a.cols(), b.cols());
-  // Accumulates c[i][j] over p in order, like a dot product, but with j as
-  // the inner loop over Bᵀ's rows so independent outputs vectorize. Zero
-  // a[i][p] terms are skipped as in MatMulInto; adding ±0 to a sum that
-  // starts at +0 never changes it.
-  Tensor bt(b.cols(), b.rows());
-  for (size_t j = 0; j < b.rows(); ++j) {
-    const float* brow = b.row_data(j);
-    for (size_t p = 0; p < b.cols(); ++p) bt.at(p, j) = brow[p];
-  }
   Tensor c(a.rows(), b.rows());
-  const size_t n = a.rows();
-  const size_t k = a.cols();
-  const size_t m = b.rows();
-  for (size_t i = 0; i < n; ++i) {
-    const float* arow = a.row_data(i);
-    float* crow = c.row_data(i);
-    for (size_t p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      const float* btrow = bt.row_data(p);
-      for (size_t j = 0; j < m; ++j) crow[j] += av * btrow[j];
-    }
-  }
+  GemmABT(a.rows(), a.cols(), b.rows(), a.data(), a.cols(), b.data(),
+          b.cols(), c.data(), c.cols());
   return c;
 }
 

@@ -60,7 +60,25 @@ class Tensor {
   std::vector<float> data_;
 };
 
-// C = A · B into a caller-owned output (resized and zeroed here). Shapes:
+// Float matrix products. All of them run the one GEMM kernel of the SIMD
+// table (ml/simd.h): every c[i][j] is Σ_p a[i][p]·b[p][j] summed in
+// ascending p, bit-identical at every SIMD level.
+//
+// Strided forms over row-major operands, for column windows of a Tensor
+// such as one attention head's slice: A is n×k with row stride lda, B is
+// k×m (ldb), and C is n×m (ldc). C is overwritten and must not overlap the
+// inputs.
+void Gemm(size_t n, size_t k, size_t m, const float* a, size_t lda,
+          const float* b, size_t ldb, float* c, size_t ldc);
+// C = A·Bᵀ with B stored m×k (row stride ldb). Bᵀ is copied into a
+// per-thread buffer that is reused across calls.
+void GemmABT(size_t n, size_t k, size_t m, const float* a, size_t lda,
+             const float* b, size_t ldb, float* c, size_t ldc);
+// C = Aᵀ·B with A stored k×n (row stride lda).
+void GemmATB(size_t n, size_t k, size_t m, const float* a, size_t lda,
+             const float* b, size_t ldb, float* c, size_t ldc);
+
+// C = A · B into a caller-owned output (resized here). Shapes:
 // (n×k)·(k×m) → (n×m).
 void MatMulInto(const Tensor& a, const Tensor& b, Tensor& c);
 // C = Aᵀ · B. Shapes: (k×n)ᵀ·(k×m) → (n×m).

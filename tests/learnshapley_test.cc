@@ -10,6 +10,7 @@
 #include "learnshapley/nearest_queries.h"
 #include "learnshapley/serialization.h"
 #include "learnshapley/trainer.h"
+#include "ml/simd.h"
 #include "paper_fixture.h"
 
 namespace lshap {
@@ -234,15 +235,21 @@ TEST_F(LearnShapleyTest, TrainedWeightsIdenticalAcrossThreadCounts) {
   cfg.finetune_samples_per_epoch = 90;
   cfg.batch_size = 18;
   cfg.seed = 24;
+  // The float GEMM is bit-identical at every SIMD level, so the scalar
+  // fallback must land on the same fingerprint.
   constexpr uint64_t kRecordedFingerprint = 265733172077153629ull;
-  for (size_t threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    TrainResult trained = TrainLearnShapley(corpus_, sims_, cfg, pool);
-    ASSERT_NE(trained.ranker, nullptr);
-    EXPECT_EQ(WeightsFingerprint(trained.ranker->model()),
-              kRecordedFingerprint)
-        << "threads=" << threads;
+  for (SimdLevel level : {DetectedSimdLevel(), SimdLevel::kScalar}) {
+    SetSimdLevel(level);
+    for (size_t threads : {1, 2, 4}) {
+      ThreadPool pool(threads);
+      TrainResult trained = TrainLearnShapley(corpus_, sims_, cfg, pool);
+      ASSERT_NE(trained.ranker, nullptr);
+      EXPECT_EQ(WeightsFingerprint(trained.ranker->model()),
+                kRecordedFingerprint)
+          << "simd=" << SimdLevelName(level) << " threads=" << threads;
+    }
   }
+  SetSimdLevel(DetectedSimdLevel());
 }
 
 TEST(SerializationTest, TokensAreLowercaseSql) {

@@ -1,10 +1,11 @@
 // Differential tests for the quantized SIMD inference path (DESIGN.md §12):
 //
 //  - KernelBitEquality: the AVX2 and scalar kernels are bit-equal on random
-//    shapes (this is what lets the AVX2-disabled CI leg certify the scalar
+//    shapes, and the float GEMM equals a naive p-ordered triple loop (this is what lets the AVX2-disabled CI leg certify the scalar
 //    fallback as the same function).
 //  - Float forward, tape on vs. off: recording the activation tape for
-//    training does not change the one const forward's output by a bit.
+//    training does not change the one const forward's output by a bit,
+//    and neither does switching the SIMD level under the float GEMM.
 //  - QuantizedLinear: codes reconstruct the float weights within half a
 //    quantization step, and the int8 forward stays inside the analytic
 //    error bound of the scheme.
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -150,6 +152,71 @@ TEST_F(KernelBitEquality, QuantizeRow) {
   }
 }
 
+uint32_t Bits(float x) { return std::bit_cast<uint32_t>(x); }
+
+TEST_F(KernelBitEquality, MatMulF32) {
+  // Every operand is a column window of a wider matrix, the way one
+  // attention head's slice is, A is read both row-major and transposed,
+  // and C's cells outside its window must come back untouched. Both
+  // variants must equal, bit for bit, the p-ordered triple loop the float
+  // layers summed in before the GEMM kernel.
+  auto [scalar, simd] = GetTables();
+  Rng rng(105);
+  constexpr size_t kPad = 3;  // columns on each side of every window
+  constexpr float kSentinel = 7.0f;
+  for (bool trans_a : {false, true}) {
+    for (size_t n : {1u, 3u, 4u, 5u, 61u}) {
+      for (size_t k : {1u, 12u, 48u, 96u}) {
+        for (size_t m : {1u, 5u, 8u, 12u, 16u, 48u, 61u, 96u}) {
+          // A(i, p) lives at aw[i * ars + p * acs].
+          const size_t lda = (trans_a ? n : k) + 2 * kPad;
+          const size_t ars = trans_a ? 1 : lda;
+          const size_t acs = trans_a ? lda : 1;
+          const size_t ldb = m + 2 * kPad;
+          const size_t ldc = m + 2 * kPad;
+          std::vector<float> a =
+              RandomRow(rng, (trans_a ? k : n) * lda, 2.0f);
+          const std::vector<float> b = RandomRow(rng, k * ldb, 2.0f);
+          float* aw = a.data() + kPad;
+          const float* bw = b.data() + kPad;
+          // Zero terms the way masked softmax weights have them: a whole
+          // all-zero row, and scattered +0/-0 entries elsewhere.
+          for (size_t i = 0; i < n; ++i) {
+            for (size_t p = 0; p < k; ++p) {
+              float& av = aw[i * ars + p * acs];
+              if (i == 1) av = 0.0f;
+              if ((i + p) % 7 == 3) av = (p % 2 == 0) ? 0.0f : -0.0f;
+            }
+          }
+          std::vector<float> cs(n * ldc, kSentinel), cv(n * ldc, kSentinel);
+          scalar->gemm_f32(n, k, m, aw, ars, acs, bw, ldb, cs.data() + kPad,
+                           ldc);
+          simd->gemm_f32(n, k, m, aw, ars, acs, bw, ldb, cv.data() + kPad,
+                         ldc);
+          size_t mismatches = 0;
+          for (size_t i = 0; i < n; ++i) {
+            for (size_t col = 0; col < ldc; ++col) {
+              float want = kSentinel;
+              if (col >= kPad && col < kPad + m) {
+                const size_t j = col - kPad;
+                want = 0.0f;
+                for (size_t p = 0; p < k; ++p) {
+                  want += aw[i * ars + p * acs] * bw[p * ldb + j];
+                }
+              }
+              const size_t idx = i * ldc + col;
+              mismatches += Bits(cs[idx]) != Bits(want);
+              mismatches += Bits(cv[idx]) != Bits(want);
+            }
+          }
+          EXPECT_EQ(mismatches, 0u) << "trans_a=" << trans_a << " n=" << n
+                                    << " k=" << k << " m=" << m;
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdExpApproxTest, TracksStdExpAndMasksToZero) {
   for (float x = -20.0f; x <= 20.0f; x += 0.37f) {
     const float want = std::exp(x);
@@ -222,6 +289,41 @@ TEST(FloatInferenceTest, FinetuneStepPredictsExactlyPredictShapley) {
   EXPECT_EQ(model.FinetuneStep(input, 0.0f), predicted * predicted);
   // The step only accumulated gradients; the const prediction is unmoved.
   EXPECT_EQ(model.PredictShapley(input, arena), predicted);
+}
+
+TEST(FloatInferenceTest, PredictShapleyBitsEqualAcrossSimdLevels) {
+  // The float model runs every matmul through the GEMM kernel, so the
+  // scalar fallback must predict exactly what the detected level does. The
+  // shape exercises 4-row blocks with a row tail, 16/8-column tiles with a
+  // masked tail (head_dim 12), and padded keys.
+  EncoderConfig cfg;
+  cfg.vocab_size = 40;
+  cfg.max_len = 40;
+  cfg.dim = 48;
+  cfg.num_heads = 4;
+  cfg.num_layers = 2;
+  cfg.ffn_dim = 96;
+  cfg.seed = 33;
+  const LearnShapleyModel model(cfg, 33);
+  Rng rng(34);
+  InferenceArena arena;
+  for (size_t len : {5u, 23u, 37u}) {
+    EncodedPair input;
+    input.ids.push_back(Vocab::kCls);
+    for (size_t i = 1; i < len; ++i) {
+      input.ids.push_back(static_cast<int>(
+          Vocab::kNumSpecial +
+          rng.NextBounded(cfg.vocab_size - Vocab::kNumSpecial)));
+    }
+    input.mask.assign(len, true);
+    input.mask[len - 1] = false;
+    input.mask[len - 2] = false;
+    const float detected = model.PredictShapley(input, arena);
+    SetSimdLevel(SimdLevel::kScalar);
+    const float scalar = model.PredictShapley(input, arena);
+    SetSimdLevel(DetectedSimdLevel());
+    EXPECT_EQ(Bits(scalar), Bits(detected)) << "len=" << len;
+  }
 }
 
 // ---- QuantizedLinear ----
