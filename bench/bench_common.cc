@@ -78,7 +78,7 @@ Workbench MakeImdbWorkbench(ThreadPool& pool) {
   wb.data = MakeImdbDatabase({});
   wb.corpus = BuildCorpus(*wb.data.db, wb.data.graph, ImdbCorpusConfig(),
                           pool);
-  wb.sims = ComputeSimilarityMatrices(wb.corpus, 12, pool);
+  wb.sims = ComputeSimilarityMatrices(wb.corpus, 12, pool, BenchMetrics());
   return wb;
 }
 
@@ -88,7 +88,7 @@ Workbench MakeAcademicWorkbench(ThreadPool& pool) {
   wb.data = MakeAcademicDatabase({});
   wb.corpus = BuildCorpus(*wb.data.db, wb.data.graph, AcademicCorpusConfig(),
                           pool);
-  wb.sims = ComputeSimilarityMatrices(wb.corpus, 12, pool);
+  wb.sims = ComputeSimilarityMatrices(wb.corpus, 12, pool, BenchMetrics());
   return wb;
 }
 

@@ -504,22 +504,34 @@ Result<BuildStats> BuildCorpusToShards(const Database& db,
 
 SimilarityMatrices ComputeSimilarityMatrices(const Corpus& corpus,
                                              size_t max_tuples_for_rank,
-                                             ThreadPool& pool) {
+                                             ThreadPool& pool,
+                                             MetricsRegistry* metrics) {
+  ScopedSpan matrices_span(metrics, "similarity.matrices");
   const size_t n = corpus.entries.size();
   SimilarityMatrices m;
   m.syntax.assign(n, std::vector<double>(n, 0.0));
   m.witness.assign(n, std::vector<double>(n, 0.0));
   m.rank.assign(n, std::vector<double>(n, 0.0));
 
-  // Truncated contribution views for the (expensive) rank similarity.
-  std::vector<std::vector<TupleContribution>> capped(n);
-  for (size_t i = 0; i < n; ++i) {
-    const auto& c = corpus.entries[i].contributions;
-    const size_t take = std::min(c.size(), max_tuples_for_rank);
-    capped[i].assign(c.begin(), c.begin() + static_cast<ptrdiff_t>(take));
+  // Per-query features, once per query. Witness ids come from one serial
+  // interning pass, since every query must share the id space.
+  std::vector<SyntaxFeatures> syntax(n);
+  std::vector<WitnessFeatures> witness;
+  std::vector<RankFeatures> rank(n);
+  {
+    ScopedSpan span(metrics, "similarity.features");
+    ParallelFor(pool, n, [&](size_t i) {
+      syntax[i] = MakeSyntaxFeatures(corpus.entries[i].query);
+      rank[i] = MakeRankFeatures(corpus.entries[i].contributions,
+                                 max_tuples_for_rank);
+    });
+    std::vector<const std::vector<OutputTuple>*> outputs(n);
+    for (size_t i = 0; i < n; ++i) outputs[i] = &corpus.entries[i].all_outputs;
+    witness = MakeWitnessFeatures(outputs);
   }
 
   // Upper-triangle pairs, parallelized.
+  ScopedSpan pairs_span(metrics, "similarity.pairs");
   std::vector<std::pair<size_t, size_t>> pairs;
   pairs.reserve(n * (n + 1) / 2);
   for (size_t i = 0; i < n; ++i) {
@@ -527,11 +539,9 @@ SimilarityMatrices ComputeSimilarityMatrices(const Corpus& corpus,
   }
   ParallelFor(pool, pairs.size(), [&](size_t p) {
     const auto [i, j] = pairs[p];
-    const CorpusEntry& a = corpus.entries[i];
-    const CorpusEntry& b = corpus.entries[j];
-    const double syn = SyntaxSimilarity(a.query, b.query);
-    const double wit = WitnessSimilarity(a.all_outputs, b.all_outputs);
-    const double rnk = RankSimilarity(capped[i], capped[j]);
+    const double syn = syntax[i].Similarity(syntax[j]);
+    const double wit = witness[i].Similarity(witness[j]);
+    const double rnk = rank[i].Similarity(rank[j]);
     m.syntax[i][j] = m.syntax[j][i] = syn;
     m.witness[i][j] = m.witness[j][i] = wit;
     m.rank[i][j] = m.rank[j][i] = rnk;

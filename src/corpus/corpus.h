@@ -244,11 +244,15 @@ struct SimilarityMatrices {
 };
 
 // Computes all three N x N matrices; rank similarity caps each query's
-// output side at `max_tuples_for_rank` contributions. Symmetric with unit
-// diagonal.
-SimilarityMatrices ComputeSimilarityMatrices(const Corpus& corpus,
-                                             size_t max_tuples_for_rank,
-                                             ThreadPool& pool);
+// output side at `max_tuples_for_rank` contributions. Symmetric: entry
+// (i, j) with i <= j, and its mirror, is bit for bit the pairwise
+// Syntax/Witness/RankSimilarity call on (i, j), at any thread count.
+// Per-query features are built once (span "similarity.features"), then
+// every upper-triangle pair runs on them (span "similarity.pairs"), both
+// under "similarity.matrices" in `metrics` when it is non-null.
+SimilarityMatrices ComputeSimilarityMatrices(
+    const Corpus& corpus, size_t max_tuples_for_rank, ThreadPool& pool,
+    MetricsRegistry* metrics = nullptr);
 
 // Per-split counts for Table 1.
 struct SplitStats {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "corpus/corpus.h"
 #include "datasets/imdb.h"
 #include "shapley/shapley.h"
+#include "similarity/similarity.h"
 
 namespace lshap {
 namespace {
@@ -122,6 +126,94 @@ TEST_F(CorpusTest, SimilarityMatricesAreSymmetricWithUnitDiagonal) {
       EXPECT_LE(sims.syntax[i][j], 1.0);
       EXPECT_GE(sims.rank[i][j], 0.0);
       EXPECT_LE(sims.rank[i][j], 1.0 + 1e-9);
+    }
+  }
+}
+
+// FNV-1a over the bit patterns of every entry of the three matrices, row
+// by row: any one-bit change anywhere moves it.
+uint64_t MatricesHash(const SimilarityMatrices& m) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto* matrix : {&m.syntax, &m.witness, &m.rank}) {
+    for (const auto& row : *matrix) {
+      for (double v : row) {
+        uint64_t bits = std::bit_cast<uint64_t>(v);
+        for (int byte = 0; byte < 8; ++byte) {
+          h = (h ^ (bits & 0xff)) * 0x100000001b3ull;
+          bits >>= 8;
+        }
+      }
+    }
+  }
+  return h;
+}
+
+// The matrices are pinned to the values the per-pair implementation
+// produced before per-query features replaced it, at any thread count.
+TEST_F(CorpusTest, SimilarityMatricesMatchRecordedHash) {
+  constexpr uint64_t kRecordedHash = 8545254842488876929ull;
+  ThreadPool one(1);
+  EXPECT_EQ(MatricesHash(ComputeSimilarityMatrices(corpus_, 10, one)),
+            kRecordedHash);
+  EXPECT_EQ(MatricesHash(ComputeSimilarityMatrices(corpus_, 10, pool_)),
+            kRecordedHash);
+}
+
+// Every matrix entry is exactly what the pairwise functions return for
+// the same two queries, called as (lower index, higher index): the matrix
+// mirrors its upper triangle, and RankSimilarity sums its matching in row
+// order, so swapping its arguments may move the last bit.
+TEST_F(CorpusTest, SimilarityMatricesEqualPairwiseCalls) {
+  constexpr size_t kCap = 3;
+  const SimilarityMatrices sims =
+      ComputeSimilarityMatrices(corpus_, kCap, pool_);
+  auto capped = [&](size_t i) {
+    const auto& c = corpus_.entries[i].contributions;
+    const size_t take = std::min(c.size(), kCap);
+    return std::vector<TupleContribution>(
+        c.begin(), c.begin() + static_cast<ptrdiff_t>(take));
+  };
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  const size_t n = corpus_.entries.size();
+  for (size_t i = 0; i < n; ++i) {
+    const CorpusEntry& a = corpus_.entries[i];
+    for (size_t j = i; j < n; ++j) {
+      const CorpusEntry& b = corpus_.entries[j];
+      EXPECT_EQ(bits(sims.syntax[j][i]), bits(sims.syntax[i][j]));
+      EXPECT_EQ(bits(sims.witness[j][i]), bits(sims.witness[i][j]));
+      EXPECT_EQ(bits(sims.rank[j][i]), bits(sims.rank[i][j]));
+      EXPECT_EQ(bits(sims.syntax[i][j]),
+                bits(SyntaxSimilarity(a.query, b.query)))
+          << i << "," << j;
+      EXPECT_EQ(bits(sims.witness[i][j]),
+                bits(WitnessSimilarity(a.all_outputs, b.all_outputs)))
+          << i << "," << j;
+      EXPECT_EQ(bits(sims.rank[i][j]),
+                bits(RankSimilarity(capped(i), capped(j))))
+          << i << "," << j;
+    }
+  }
+}
+
+// A tuple holding a NaN equals no tuple, itself included, so it counts in
+// the union of both sides and never in the intersection: W(a, a) < 1.
+TEST(WitnessNaNTest, NaNTupleMatchesNothingNotEvenItself) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Corpus corpus;
+  corpus.entries.resize(2);
+  corpus.entries[0].all_outputs = {{Value(1.0)}, {Value(nan)}};
+  corpus.entries[1].all_outputs = {{Value(nan)}, {Value(1.0)}};
+  const auto& a = corpus.entries[0].all_outputs;
+  const auto& b = corpus.entries[1].all_outputs;
+  // {1.0} is shared; each side's NaN tuple is its own union member.
+  EXPECT_DOUBLE_EQ(WitnessSimilarity(a, a), 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(WitnessSimilarity(a, b), 1.0 / 3.0);
+  EXPECT_LT(WitnessSimilarity(a, a), 1.0);
+  ThreadPool pool(1);
+  const SimilarityMatrices sims = ComputeSimilarityMatrices(corpus, 4, pool);
+  for (size_t i = 0; i < 2; ++i) {
+    for (size_t j = 0; j < 2; ++j) {
+      EXPECT_DOUBLE_EQ(sims.witness[i][j], 1.0 / 3.0) << i << "," << j;
     }
   }
 }

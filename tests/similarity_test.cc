@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 
 #include "common/rng.h"
 #include "eval/evaluator.h"
@@ -39,6 +42,77 @@ TEST(KendallTest, SymmetricInArguments) {
   const std::vector<double> a = {0.5, 0.1, 0.9, 0.1};
   const std::vector<double> b = {0.2, 0.8, 0.3, 0.0};
   EXPECT_DOUBLE_EQ(KendallTauDistance(a, b), KendallTauDistance(b, a));
+}
+
+// The O(n^2) pair loop KendallTauDistance used to run, kept as the oracle
+// the O(n log n) count must match bit for bit.
+double KendallOracle(const std::vector<double>& a,
+                     const std::vector<double>& b) {
+  const size_t n = a.size();
+  if (n < 2) return 0.0;
+  double penalty = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      const double da = a[i] - a[j];
+      const double db = b[i] - b[j];
+      if (da == 0.0 && db == 0.0) continue;
+      if (da == 0.0 || db == 0.0) {
+        penalty += 0.5;
+      } else if ((da > 0.0) != (db > 0.0)) {
+        penalty += 1.0;
+      }
+    }
+  }
+  const double total_pairs = static_cast<double>(n) * (n - 1) / 2.0;
+  return penalty / total_pairs;
+}
+
+// Draws one score from a small tie-heavy alphabet, ±0.0 included, or
+// (rarely) a fresh uniform value.
+double TieHeavyScore(Rng& rng) {
+  static const double kAlphabet[] = {0.0, -0.0, 0.25, -0.25, 0.5, 1.0, 1e-300};
+  if (rng.NextBool(0.1)) return rng.NextDouble(-1.0, 1.0);
+  return kAlphabet[rng.NextBounded(std::size(kAlphabet))];
+}
+
+TEST(KendallTest, MatchesPairLoopBitForBit) {
+  Rng rng(1414);
+  for (int trial = 0; trial < 600; ++trial) {
+    const size_t n = trial < 40 ? static_cast<size_t>(trial)
+                                : rng.NextBounded(401);
+    std::vector<double> a(n), b(n);
+    switch (trial % 3) {
+      case 0:  // tie-heavy in both rankings
+        for (size_t k = 0; k < n; ++k) {
+          a[k] = TieHeavyScore(rng);
+          b[k] = TieHeavyScore(rng);
+        }
+        break;
+      case 1: {
+        // Union of two lineages: facts outside a lineage score 0, so
+        // most of each vector is 0 and the supports barely overlap.
+        const size_t split = rng.NextBounded(n + 1);
+        for (size_t k = 0; k < n; ++k) {
+          const bool shared = rng.NextBool(0.1);
+          a[k] = (k < split || shared) ? rng.NextDouble() : 0.0;
+          b[k] = (k >= split || shared) ? rng.NextDouble() : 0.0;
+          if (rng.NextBool(0.2)) a[k] = b[k];
+        }
+        break;
+      }
+      default:  // distinct values, any order
+        for (size_t k = 0; k < n; ++k) {
+          a[k] = rng.NextGaussian();
+          b[k] = rng.NextBool(0.5) ? -a[k] : rng.NextGaussian();
+        }
+        break;
+    }
+    const double got = KendallTauDistance(a, b);
+    const double want = KendallOracle(a, b);
+    ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+        << "n=" << n << " trial=" << trial << " got " << got << " want "
+        << want;
+  }
 }
 
 TEST(HungarianTest, PicksDiagonalWhenOptimal) {
