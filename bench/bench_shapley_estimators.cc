@@ -22,6 +22,7 @@
 #include "bench_common.h"
 #include "common/timer.h"
 #include "eval/evaluator.h"
+#include "shapley/ladder.h"
 #include "shapley/shapley.h"
 
 using namespace lshap;
@@ -52,10 +53,7 @@ std::vector<Case> CollectCases(const Workbench& wb, size_t max_cases) {
       const Dnf& prov = result->ProvenanceOf(it->second);
       const std::vector<FactId> lineage = prov.Variables();
       if (lineage.size() < 6 || lineage.size() > 25) continue;
-      std::vector<uint32_t> strata(lineage.size());
-      for (size_t i = 0; i < lineage.size(); ++i) {
-        strata[i] = wb.corpus.db->FactTableIndex(lineage[i]);
-      }
+      std::vector<uint32_t> strata = RelationStrata(*wb.corpus.db, prov);
       if (std::set<uint32_t>(strata.begin(), strata.end()).size() < 2) {
         continue;
       }

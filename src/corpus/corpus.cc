@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -12,41 +13,47 @@
 #include "common/timer.h"
 #include "corpus/format.h"
 #include "eval/evaluator.h"
-#include "shapley/shapley.h"
 
 namespace lshap {
 
+void RungCounts::Record(std::optional<EstimatorRung> rung) {
+  // Indexed by EstimatorRung.
+  static constexpr size_t RungCounts::*kField[] = {
+      &RungCounts::exact, &RungCounts::stratified, &RungCounts::monte_carlo,
+      &RungCounts::cnf_proxy};
+  ++(rung.has_value() ? this->*kField[static_cast<size_t>(*rung)] : skipped);
+}
+
+RungCounts& RungCounts::operator+=(const RungCounts& other) {
+  exact += other.exact;
+  stratified += other.stratified;
+  monte_carlo += other.monte_carlo;
+  cnf_proxy += other.cnf_proxy;
+  skipped += other.skipped;
+  return *this;
+}
+
 namespace {
 
-// Per-job record of which ladder rung produced the ground truth (or that
-// the tuple was skipped / never processed) plus the budget-trip sites hit
-// along the way. Filled by worker threads (one slot per job, no sharing)
-// and folded into BuildStats serially after the wave, so the recorded
-// counts are deterministic regardless of thread interleaving.
-struct LadderOutcome {
-  enum Rung : uint8_t {
-    kNotRun = 0,
-    kExact,
-    kStratified,
-    kMonteCarlo,
-    kCnfProxy,
-    kSkip
-  };
-  Rung rung = kNotRun;
-  std::vector<std::string> trip_sites;
-};
+// Mirrors rung counts into the `<prefix>rung_*` counters (no-ops without a
+// registry).
+void IncRungCounters(MetricsRegistry* r, const std::string& prefix,
+                     const RungCounts& c) {
+  CounterFor(r, prefix + "rung_exact").Inc(c.exact);
+  CounterFor(r, prefix + "rung_stratified").Inc(c.stratified);
+  CounterFor(r, prefix + "rung_monte_carlo").Inc(c.monte_carlo);
+  CounterFor(r, prefix + "rung_cnf_proxy").Inc(c.cnf_proxy);
+  CounterFor(r, prefix + "rung_skipped").Inc(c.skipped);
+}
 
 }  // namespace
 
-// BuildCorpus's metric handles — the registry-backed successor of the
-// ad-hoc BuildStats counters. BuildStats stays (it is serialized with the
-// corpus and printed by the benches); the fold loop mirrors every count
-// into these handles so one --metrics-json snapshot carries the rung
-// transitions alongside the evaluator and trainer sections.
+// BuildCorpus's metric handles. BuildStats stays (it is serialized with the
+// corpus and printed by the benches) and is mirrored into the registry at
+// the end of the build (IncRungCounters).
 struct CorpusMetricSet {
   Counter queries_generated, queries_kept, tuples_prefiltered, jobs,
-      rung_exact, rung_stratified, rung_monte_carlo, rung_cnf_proxy,
-      rung_skipped, budget_trips;
+      budget_trips;
   Histogram lineage_facts, circuit_nodes;
   Gauge wall_seconds;
 
@@ -56,11 +63,6 @@ struct CorpusMetricSet {
         queries_kept(CounterFor(r, "corpus.queries_kept")),
         tuples_prefiltered(CounterFor(r, "corpus.tuples_prefiltered")),
         jobs(CounterFor(r, "corpus.ground_truth_jobs")),
-        rung_exact(CounterFor(r, "corpus.rung_exact")),
-        rung_stratified(CounterFor(r, "corpus.rung_stratified")),
-        rung_monte_carlo(CounterFor(r, "corpus.rung_monte_carlo")),
-        rung_cnf_proxy(CounterFor(r, "corpus.rung_cnf_proxy")),
-        rung_skipped(CounterFor(r, "corpus.rung_skipped")),
         budget_trips(CounterFor(r, "corpus.budget_trips")),
         lineage_facts(HistogramFor(r, "corpus.lineage_facts",
                                    ExponentialBuckets(1.0, 2.0, 10))),
@@ -220,102 +222,48 @@ BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
     // still expires every later shard's jobs at their first check.
     CancelToken shard_cancel;
 
-    std::vector<LadderOutcome> outcomes(jobs.size());
+    // One ladder per job, each rung under a fresh per-tuple budget; only
+    // the exact rung carries the node cap. Each outcome slot is written by
+    // the one worker that ran the job and folded below serially, so the
+    // counts are deterministic at any thread count; a job the build
+    // cancelled before it ran keeps its cancelled placeholder.
+    const std::vector<LadderRung> rungs = {
+        {EstimatorRung::kExact},
+        {EstimatorRung::kStratified, config.stratified_fallback_samples},
+        {EstimatorRung::kMonteCarlo, config.mc_fallback_samples},
+        {EstimatorRung::kCnfProxy}};
+    LadderResult not_run;
+    not_run.cancelled = true;
+    std::vector<LadderResult> outcomes(jobs.size(), not_run);
     const auto ladder = [&](size_t j) -> Status {
       const Job& job = jobs[j];
-      LadderOutcome& outcome = outcomes[j];
-      ShapleyValues& dest =
-          shard.entries[job.entry].contributions[job.slot].shapley;
       if (has_build_deadline && Clock::now() >= build_deadline) {
         return Status::ResourceExhausted("corpus build deadline exceeded");
       }
-
-      // Rung 1: exact circuit Shapley under the full per-tuple budget.
-      {
-        ExecutionBudget budget(
-            {config.tuple_deadline_seconds, config.max_circuit_nodes},
-            &shard_cancel, config.fault_injector);
-        Result<ShapleyValues> exact = ComputeShapleyExact(*job.prov, budget);
-        if (exact.ok()) {
-          dest = std::move(exact).value();
-          outcome.rung = LadderOutcome::kExact;
-          // Charge accounting runs even on an unlimited budget, so after a
-          // successful exact rung the charged units are (almost exactly)
-          // the compiled circuit's node count.
-          metrics.circuit_nodes.Observe(
-              static_cast<double>(budget.charged_units()));
-          return Status::Ok();
-        }
-        outcome.trip_sites.push_back(budget.trip_site());
-        if (exact.status().code() == StatusCode::kCancelled) {
-          return exact.status();
-        }
+      std::optional<ExecutionBudget> budget;
+      LadderResult& result = outcomes[j];
+      result = RunLadder(
+          db, rungs, config.seed, {{job.prov, job.global}},
+          [&](EstimatorRung rung) {
+            const uint64_t nodes =
+                rung == EstimatorRung::kExact ? config.max_circuit_nodes : 0;
+            return &budget.emplace(
+                ExecutionBudget::Limits{config.tuple_deadline_seconds, nodes},
+                &shard_cancel, config.fault_injector);
+          });
+      if (result.rung == EstimatorRung::kExact) {
+        // Charge accounting runs even on an unlimited budget, so after a
+        // successful exact rung the charged units are (almost exactly) the
+        // compiled circuit's node count.
+        metrics.circuit_nodes.Observe(
+            static_cast<double>(budget->charged_units()));
       }
-      // Rung 2 (opt-in): relation-stratified MC estimate with a fresh
-      // deadline. Strata come from each lineage fact's source table; the
-      // rng is seeded per global job index (with a mix constant distinct
-      // from the plain-MC rung's) so the result is deterministic
-      // regardless of thread or shard assignment.
-      if (config.stratified_fallback_samples > 0) {
-        const std::vector<FactId> lineage = job.prov->Variables();
-        std::vector<uint32_t> strata(lineage.size());
-        for (size_t i = 0; i < lineage.size(); ++i) {
-          strata[i] = db.FactTableIndex(lineage[i]);
-        }
-        ExecutionBudget budget({config.tuple_deadline_seconds, 0},
-                               &shard_cancel, config.fault_injector);
-        Rng strat_rng(config.seed ^
-                      (0xda942042e4dd58b5ULL * (job.global + 1)));
-        Result<ShapleyValues> strat = ComputeShapleyStratified(
-            *job.prov, strata, config.stratified_fallback_samples,
-            strat_rng, budget);
-        if (strat.ok()) {
-          dest = std::move(strat).value();
-          outcome.rung = LadderOutcome::kStratified;
-          return Status::Ok();
-        }
-        outcome.trip_sites.push_back(budget.trip_site());
-        if (strat.status().code() == StatusCode::kCancelled) {
-          return strat.status();
-        }
+      if (result.rung.has_value()) {
+        shard.entries[job.entry].contributions[job.slot].shapley =
+            std::move(result.values[0]);
       }
-      // Rung 3: plain Monte-Carlo estimate with a fixed sample budget and
-      // a fresh deadline. Seeded per global job index so the fallback is
-      // deterministic regardless of thread or shard assignment.
-      {
-        ExecutionBudget budget({config.tuple_deadline_seconds, 0},
-                               &shard_cancel, config.fault_injector);
-        Rng mc_rng(config.seed ^
-                   (0x9e3779b97f4a7c15ULL * (job.global + 1)));
-        Result<ShapleyValues> mc = ComputeShapleyMonteCarlo(
-            *job.prov, config.mc_fallback_samples, mc_rng, budget);
-        if (mc.ok()) {
-          dest = std::move(mc).value();
-          outcome.rung = LadderOutcome::kMonteCarlo;
-          return Status::Ok();
-        }
-        outcome.trip_sites.push_back(budget.trip_site());
-        if (mc.status().code() == StatusCode::kCancelled) return mc.status();
-      }
-      // Rung 4: CNF-proxy ranking scores (polynomial closed form).
-      {
-        ExecutionBudget budget({config.tuple_deadline_seconds, 0},
-                               &shard_cancel, config.fault_injector);
-        Result<ShapleyValues> proxy = ComputeCnfProxy(*job.prov, budget);
-        if (proxy.ok()) {
-          dest = std::move(proxy).value();
-          outcome.rung = LadderOutcome::kCnfProxy;
-          return Status::Ok();
-        }
-        outcome.trip_sites.push_back(budget.trip_site());
-        if (proxy.status().code() == StatusCode::kCancelled) {
-          return proxy.status();
-        }
-      }
-      // Rung 5: skip. The tuple is dropped below with a stats record; the
-      // wave itself keeps going.
-      outcome.rung = LadderOutcome::kSkip;
-      return Status::Ok();
+      return result.cancelled ? Status::Cancelled("corpus build cancelled")
+                              : Status::Ok();
     };
     metrics.jobs.Inc(jobs.size());
     // The wave status is deliberately dropped: a cancelled build is not an
@@ -329,28 +277,13 @@ BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
     // Fold the per-job outcomes into the shard's stats serially
     // (deterministic counts), then drop the contributions that got no
     // ground truth.
-    for (const LadderOutcome& outcome : outcomes) {
-      switch (outcome.rung) {
-        case LadderOutcome::kExact:
-          ++sstats.exact;
-          break;
-        case LadderOutcome::kStratified:
-          ++sstats.stratified;
-          break;
-        case LadderOutcome::kMonteCarlo:
-          ++sstats.monte_carlo;
-          break;
-        case LadderOutcome::kCnfProxy:
-          ++sstats.cnf_proxy;
-          break;
-        case LadderOutcome::kSkip:
-          ++sstats.skipped;
-          break;
-        case LadderOutcome::kNotRun:
-          // Build cancelled (or deadline hit) before this tuple ran.
-          ++sstats.skipped;
-          ++sstats.budget_trips[kSiteCorpusBuildDeadline];
-          break;
+    for (const LadderResult& outcome : outcomes) {
+      if (outcome.cancelled) {
+        // Build cancelled (or deadline hit) before this tuple finished.
+        ++sstats.skipped;
+        ++sstats.budget_trips[kSiteCorpusBuildDeadline];
+      } else {
+        sstats.Record(outcome.rung);  // no rung: every rung tripped
       }
       for (const std::string& site : outcome.trip_sites) {
         ++sstats.budget_trips[site];
@@ -379,11 +312,7 @@ BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
     // Merge this shard into the totals — in shard order, on the driver
     // thread, never under a mutex in completion order — so the merged
     // counts are deterministic at any thread count.
-    stats.exact += sstats.exact;
-    stats.stratified += sstats.stratified;
-    stats.monte_carlo += sstats.monte_carlo;
-    stats.cnf_proxy += sstats.cnf_proxy;
-    stats.skipped += sstats.skipped;
+    stats += sstats;
     for (const auto& [site, n] : sstats.budget_trips) {
       stats.budget_trips[site] += n;
     }
@@ -391,15 +320,7 @@ BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
       // Per-shard rung counters, opt-in like every corpus.* metric.
       const std::string prefix = StrFormat("corpus.shard%03zu.", s);
       CounterFor(config.metrics, prefix + "entries").Inc(sstats.entries);
-      CounterFor(config.metrics, prefix + "rung_exact").Inc(sstats.exact);
-      CounterFor(config.metrics, prefix + "rung_stratified")
-          .Inc(sstats.stratified);
-      CounterFor(config.metrics, prefix + "rung_monte_carlo")
-          .Inc(sstats.monte_carlo);
-      CounterFor(config.metrics, prefix + "rung_cnf_proxy")
-          .Inc(sstats.cnf_proxy);
-      CounterFor(config.metrics, prefix + "rung_skipped")
-          .Inc(sstats.skipped);
+      IncRungCounters(config.metrics, prefix, sstats);
     }
     stats.per_shard.push_back(sstats);
     sink(std::move(shard));
@@ -429,11 +350,7 @@ BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
   stats.wall_seconds = build_timer.ElapsedSeconds();
   // Mirror the merged BuildStats into the registry (rung counts are
   // deterministic; see the shard-order merge above).
-  metrics.rung_exact.Inc(stats.exact);
-  metrics.rung_stratified.Inc(stats.stratified);
-  metrics.rung_monte_carlo.Inc(stats.monte_carlo);
-  metrics.rung_cnf_proxy.Inc(stats.cnf_proxy);
-  metrics.rung_skipped.Inc(stats.skipped);
+  IncRungCounters(config.metrics, "corpus.", stats);
   for (const auto& [site, n] : stats.budget_trips) {
     metrics.budget_trips.Inc(n);
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "query/generator.h"
 #include "relational/database.h"
+#include "shapley/ladder.h"
 #include "similarity/similarity.h"
 
 namespace lshap {
@@ -32,44 +34,45 @@ struct CorpusEntry {
 inline constexpr char kSiteCorpusPrefilter[] = "corpus.prefilter";
 inline constexpr char kSiteCorpusBuildDeadline[] = "corpus.build_deadline";
 
+// How many sampled output tuples landed on each rung of the ground-truth
+// ladder (shapley/ladder.h):
+//   exact -> stratified -> monte_carlo -> cnf_proxy -> skipped
+// (a sampling rung is absent when its sample budget is 0: the stratified
+// rung by default, the Monte-Carlo rung when mc_fallback_samples is 0). The
+// invariant `exact + stratified + monte_carlo + cnf_proxy + skipped ==
+// attempted()` means no tuple is ever silently lost: a tuple without
+// ground truth always leaves a skip record with a trip site explaining why.
+struct RungCounts {
+  size_t exact = 0;        // exact circuit Shapley
+  size_t stratified = 0;   // relation-stratified MC (opt-in)
+  size_t monte_carlo = 0;  // permutation-sampling estimate
+  size_t cnf_proxy = 0;    // CNF-proxy ranking scores
+  // Dropped: pre-filtered (max_lineage / max_clauses), every computing rung
+  // tripped, or the build was cancelled before the tuple finished.
+  size_t skipped = 0;
+
+  size_t attempted() const {
+    return exact + stratified + monte_carlo + cnf_proxy + skipped;
+  }
+  // Counts one tuple on `rung`; no rung counts it as skipped.
+  void Record(std::optional<EstimatorRung> rung);
+  RungCounts& operator+=(const RungCounts& other);
+};
+
 // What one shard's worker did during a sharded build: its slice of the
 // query log, the rung each of its sampled tuples landed on, and the budget
 // trips it recorded. Shard stats merge associatively in shard order into
 // the whole-build BuildStats, so the merged totals are identical for any
 // shard count.
-struct ShardBuildStats {
+struct ShardBuildStats : RungCounts {
   uint32_t shard_index = 0;
   size_t entries = 0;      // corpus entries this shard contributed
-  size_t exact = 0;
-  size_t stratified = 0;
-  size_t monte_carlo = 0;
-  size_t cnf_proxy = 0;
-  size_t skipped = 0;
   double wall_seconds = 0.0;  // this shard's ladder wall time
   std::map<std::string, size_t> budget_trips;
-
-  size_t attempted() const {
-    return exact + stratified + monte_carlo + cnf_proxy + skipped;
-  }
 };
 
-// What the graceful-degradation ladder did during one BuildCorpus run. Each
-// sampled output tuple lands on exactly one rung:
-//   exact -> stratified -> monte_carlo -> cnf_proxy -> skipped
-// (the stratified rung only exists when stratified_fallback_samples > 0;
-// the historical ladder goes straight from exact to monte_carlo). The
-// invariant `exact + stratified + monte_carlo + cnf_proxy + skipped ==
-// attempted()` means no tuple is ever silently lost: a tuple without
-// ground truth always leaves a skip record with a trip site explaining why.
-struct BuildStats {
-  size_t exact = 0;        // rung 1: exact circuit Shapley
-  size_t stratified = 0;   // rung 2: relation-stratified MC (opt-in)
-  size_t monte_carlo = 0;  // rung 3: permutation-sampling estimate
-  size_t cnf_proxy = 0;    // rung 4: CNF-proxy ranking scores
-  // rung 5: dropped — pre-filtered (max_lineage / max_clauses), every
-  // computing rung tripped its budget, or the build was cancelled before
-  // the tuple was processed.
-  size_t skipped = 0;
+// What the graceful-degradation ladder did during one BuildCorpus run.
+struct BuildStats : RungCounts {
   double wall_seconds = 0.0;  // whole-build wall time
   // Budget-trip occurrences keyed by check site (ExecutionBudget trip sites
   // plus the synthetic corpus.* sites above). Merged from the per-shard
@@ -79,10 +82,6 @@ struct BuildStats {
   // Per-shard breakdown, one slot per shard in shard order. Size equals the
   // build's num_shards (a single slot for the historical K=1 build).
   std::vector<ShardBuildStats> per_shard;
-
-  size_t attempted() const {
-    return exact + stratified + monte_carlo + cnf_proxy + skipped;
-  }
 };
 
 // A DBShap-style corpus over one database: query log with ground truth and
@@ -129,7 +128,9 @@ struct CorpusConfig {
   // for relying solely on the max_lineage/max_clauses pre-filter: it bounds
   // the *actual* compiled size, not a syntactic proxy of it.
   size_t max_circuit_nodes = 0;
-  // Sample budget of the Monte-Carlo fallback rung.
+  // Sample budget of the Monte-Carlo fallback rung. 0 removes the rung: a
+  // tuple the exact (and stratified) rung drops goes straight to the CNF
+  // proxy.
   size_t mc_fallback_samples = 20000;
   // Per-fact sample budget of the relation-stratified MC rung, tried
   // between exact and plain MC (DESIGN.md §13). 0 (the default) disables
@@ -213,10 +214,8 @@ struct CorpusConfig {
 
 // Generates a query log over `db`, evaluates it with provenance, computes
 // Shapley ground truth for sampled outputs (in parallel over `pool`), and
-// splits queries into train/dev/test. Each tuple's ground truth descends a
-// graceful-degradation ladder under the configured budgets — exact circuit
-// Shapley, then (when enabled) a relation-stratified MC estimate, then a
-// plain Monte-Carlo estimate, then the CNF proxy, then skip — with
+// splits queries into train/dev/test. Each tuple's ground truth descends the
+// estimator ladder (see RungCounts) under the configured budgets, with
 // per-rung counts and budget-trip sites recorded in Corpus::stats.
 // Deterministic for a fixed config whenever no deadline fires (budget trips
 // caused by wall-clock deadlines depend on machine speed; node budgets and

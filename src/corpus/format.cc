@@ -238,6 +238,27 @@ uint64_t FnvChecksum(const char* data, size_t n) {
   return h;
 }
 
+namespace {
+
+// The rung counts in their on-disk order, shared by the shard footer, the
+// per-shard stats and the manifest: the v1 fields, then the version-02
+// stratified extension.
+void PutRungCounts(std::string& out, const RungCounts& c) {
+  for (size_t n :
+       {c.exact, c.monte_carlo, c.cnf_proxy, c.skipped, c.stratified}) {
+    PutVarint(out, n);
+  }
+}
+
+void ReadRungCounts(ByteReader& r, bool v2, RungCounts& c) {
+  for (size_t* n : {&c.exact, &c.monte_carlo, &c.cnf_proxy, &c.skipped}) {
+    *n = static_cast<size_t>(r.Varint());
+  }
+  if (v2) c.stratified = static_cast<size_t>(r.Varint());
+}
+
+}  // namespace
+
 void EncodeCorpusEntry(const CorpusEntry& entry, ShapleyPayload payload,
                        std::string& out) {
   PutString(out, entry.query.id);
@@ -440,13 +461,7 @@ Status ShardWriter::Finish(const ShardBuildStats* stats) {
     PutVarint(footer, offsets_[i] - (i == 0 ? 0 : prev));
     prev = offsets_[i];
   }
-  PutVarint(footer, stats ? stats->exact : 0);
-  PutVarint(footer, stats ? stats->monte_carlo : 0);
-  PutVarint(footer, stats ? stats->cnf_proxy : 0);
-  PutVarint(footer, stats ? stats->skipped : 0);
-  // Version-02 extension; kept after the v1 fields so the v1 reader layout
-  // is a strict prefix.
-  PutVarint(footer, stats ? stats->stratified : 0);
+  PutRungCounts(footer, stats != nullptr ? *stats : ShardBuildStats{});
   // Checksum covers [0, footer_offset): the record region the offsets
   // point into. The footer guards itself with the trailer structure.
   PutFixed64(footer, impl_->hash);
@@ -553,11 +568,7 @@ Result<ShardReader> ShardReader::Open(const std::string& path,
     }
     f.record_offsets.push_back(acc);
   }
-  f.exact = static_cast<size_t>(r.Varint());
-  f.monte_carlo = static_cast<size_t>(r.Varint());
-  f.cnf_proxy = static_cast<size_t>(r.Varint());
-  f.skipped = static_cast<size_t>(r.Varint());
-  if (v2) f.stratified = static_cast<size_t>(r.Varint());
+  ReadRungCounts(r, v2, f);
   f.checksum = r.Fixed64();
   if (!r.ok()) return bad("truncated footer");
 
@@ -637,12 +648,7 @@ namespace {
 void PutShardStats(std::string& out, const ShardBuildStats& s) {
   PutVarint(out, s.shard_index);
   PutVarint(out, s.entries);
-  PutVarint(out, s.exact);
-  PutVarint(out, s.monte_carlo);
-  PutVarint(out, s.cnf_proxy);
-  PutVarint(out, s.skipped);
-  // Version-02 extension, after the v1 fixed fields.
-  PutVarint(out, s.stratified);
+  PutRungCounts(out, s);
   PutFixed64(out, DoubleBits(s.wall_seconds));
   PutStatsMap(out, s.budget_trips);
 }
@@ -651,11 +657,7 @@ Result<ShardBuildStats> ReadShardStats(ByteReader& r, bool v2) {
   ShardBuildStats s;
   s.shard_index = static_cast<uint32_t>(r.Varint());
   s.entries = static_cast<size_t>(r.Varint());
-  s.exact = static_cast<size_t>(r.Varint());
-  s.monte_carlo = static_cast<size_t>(r.Varint());
-  s.cnf_proxy = static_cast<size_t>(r.Varint());
-  s.skipped = static_cast<size_t>(r.Varint());
-  if (v2) s.stratified = static_cast<size_t>(r.Varint());
+  ReadRungCounts(r, v2, s);
   s.wall_seconds = BitsToDouble(r.Fixed64());
   auto trips = ReadStatsMap(r);
   if (!trips.ok()) return trips.status();
@@ -685,12 +687,7 @@ Status WriteManifest(const CorpusManifest& manifest,
     for (size_t i : *idx) PutVarint(out, i);
   }
   const BuildStats& st = manifest.stats;
-  PutVarint(out, st.exact);
-  PutVarint(out, st.monte_carlo);
-  PutVarint(out, st.cnf_proxy);
-  PutVarint(out, st.skipped);
-  // Version-02 extension, after the v1 fixed fields.
-  PutVarint(out, st.stratified);
+  PutRungCounts(out, st);
   PutFixed64(out, DoubleBits(st.wall_seconds));
   PutStatsMap(out, st.budget_trips);
   PutVarint(out, st.per_shard.size());
@@ -752,11 +749,7 @@ Result<CorpusManifest> ReadManifest(const std::string& path) {
     *idx = std::move(*v);
   }
   BuildStats& st = m.stats;
-  st.exact = static_cast<size_t>(r.Varint());
-  st.monte_carlo = static_cast<size_t>(r.Varint());
-  st.cnf_proxy = static_cast<size_t>(r.Varint());
-  st.skipped = static_cast<size_t>(r.Varint());
-  if (v2) st.stratified = static_cast<size_t>(r.Varint());
+  ReadRungCounts(r, v2, st);
   st.wall_seconds = BitsToDouble(r.Fixed64());
   auto trips = ReadStatsMap(r);
   if (!trips.ok()) return bad(trips.status().message());

@@ -128,21 +128,16 @@ Result<CorpusEntry> DecodeCorpusEntry(ByteReader& reader,
 
 // --- Shard files. ---
 
-// Everything a shard's footer records about its payload.
-struct ShardFooter {
+// Everything a shard's footer records about its payload, including the
+// shard's rung counts (zero when the shard was written by a plain re-save
+// that has no per-shard provenance; stratified is additionally zero for
+// version-01 files, which predate the rung).
+struct ShardFooter : RungCounts {
   uint64_t db_fingerprint = 0;
   uint32_t shard_index = 0;
   uint64_t base_entry = 0;  // global index of the shard's first entry
   ShapleyPayload payload = ShapleyPayload::kFloat64;
   std::vector<uint64_t> record_offsets;  // absolute, one per record
-  // Per-rung BuildStats breakdown for the shard (zero when the shard was
-  // written by a plain re-save that has no per-shard provenance; stratified
-  // is additionally zero for version-01 files, which predate the rung).
-  size_t exact = 0;
-  size_t stratified = 0;
-  size_t monte_carlo = 0;
-  size_t cnf_proxy = 0;
-  size_t skipped = 0;
   uint64_t checksum = 0;  // FNV-1a of bytes [0, footer_offset)
 };
 

@@ -34,6 +34,13 @@ struct FinetuneSample {
 // every thread count.
 constexpr size_t kGradPartitions = 4;
 
+// Seed mixes of the streaming trainer's per-contribution negative-sample
+// and per-(epoch, shard) order streams. Any change moves trained weights.
+constexpr uint64_t kNegEntryMix = 0xda942042e4dd58b5ULL;
+constexpr uint64_t kNegSlotMix = 0x9e3779b97f4a7c15ULL;
+constexpr uint64_t kOrderEpochMix = 0x2545f4914f6cdd1dULL;
+constexpr uint64_t kOrderShardMix = 0x9e3779b97f4a7c15ULL;
+
 // Runs batches across partition-local model clones, summing gradients into
 // the main model in partition order. Weights are re-broadcast to the clones
 // before every batch.
@@ -613,8 +620,8 @@ Result<TrainResult> TrainStreaming(const CorpusStream& stream,
             for (size_t ci = 0; ci < entry.contributions.size(); ++ci) {
               // Derived per-contribution stream, so the negative set does
               // not depend on shard visit order or epoch.
-              Rng neg_rng(config.seed ^ (0xda942042e4dd58b5ULL * (e + 1)) ^
-                          (0x9e3779b97f4a7c15ULL * (ci + 1)));
+              Rng neg_rng(config.seed ^ (kNegEntryMix * (e + 1)) ^
+                          (kNegSlotMix * (ci + 1)));
               AppendContributionSamples(db, *vocab, query_tokens[e],
                                         entry.contributions[ci], config,
                                         neg_rng, samples);
@@ -623,8 +630,8 @@ Result<TrainResult> TrainStreaming(const CorpusStream& stream,
 
           // Per-(epoch, shard) derived shuffle: sample order is a function
           // of position in the corpus, not of scheduling.
-          Rng order_rng(config.seed ^ (0x2545f4914f6cdd1dULL * (epoch + 1)) ^
-                        (0x9e3779b97f4a7c15ULL * (slice.shard_index + 1)));
+          Rng order_rng(config.seed ^ (kOrderEpochMix * (epoch + 1)) ^
+                        (kOrderShardMix * (slice.shard_index + 1)));
           order_rng.Shuffle(samples);
           auto tokens = [&](size_t i) { return samples[i].input.ids.size(); };
           auto step = [&](LearnShapleyModel& m, size_t i) {

@@ -1,13 +1,15 @@
 #include "serving/service.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
+#include <string>
 #include <utility>
 
-#include "common/rng.h"
 #include "common/strings.h"
+#include "corpus/format.h"
 #include "eval/evaluator.h"
-#include "shapley/shapley.h"
+#include "shapley/ladder.h"
 
 namespace lshap {
 
@@ -22,17 +24,6 @@ double Seconds(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
-// FNV-1a over a string: the query-identity component of the stratified
-// rung's deterministic per-request seed.
-uint64_t FnvOf(const std::string& s) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 RankedTuple MakeRanked(const OutputTuple& t, const ShapleyValues& scores) {
   RankedTuple rt;
   rt.tuple = t;
@@ -45,19 +36,10 @@ RankedTuple MakeRanked(const OutputTuple& t, const ShapleyValues& scores) {
 }  // namespace
 
 const char* ServeRungName(ServeRung rung) {
-  switch (rung) {
-    case ServeRung::kModel:
-      return "model";
-    case ServeRung::kCached:
-      return "cached";
-    case ServeRung::kStratified:
-      return "stratified";
-    case ServeRung::kCnfProxy:
-      return "cnf_proxy";
-    case ServeRung::kDegraded:
-      return "degraded";
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {"model", "cached", "stratified",
+                                           "cnf_proxy", "degraded"};
+  const auto i = static_cast<size_t>(rung);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
 }
 
 RankingService::RankingService(ServiceConfig config)
@@ -78,11 +60,10 @@ RankingService::RankingService(ServiceConfig config)
   rejected_no_snapshot_ = CounterFor(m, "serve.rejected.no_snapshot");
   rejected_fault_ = CounterFor(m, "serve.rejected.fault");
   rejected_shutdown_ = CounterFor(m, "serve.rejected.shutdown");
-  rung_model_ = CounterFor(m, "serve.rung.model");
-  rung_cached_ = CounterFor(m, "serve.rung.cached");
-  rung_stratified_ = CounterFor(m, "serve.rung.stratified");
-  rung_proxy_ = CounterFor(m, "serve.rung.cnf_proxy");
-  rung_degraded_ = CounterFor(m, "serve.rung.degraded");
+  for (size_t r = 0; r < std::size(rung_); ++r) {
+    rung_[r] = CounterFor(m, std::string("serve.rung.") +
+                                 ServeRungName(static_cast<ServeRung>(r)));
+  }
   queue_seconds_ =
       HistogramFor(m, "serve.queue_seconds", ExponentialBuckets(1e-6, 4.0, 14));
   latency_seconds_ = HistogramFor(m, "serve.latency_seconds",
@@ -316,6 +297,9 @@ RankResponse RankingService::Process(Pending& pending,
   // degraded (model rung infeasible, cache still reachable).
   (void)budget.Check(kSiteServeSnapshot);
 
+  auto site_ok = [&](const char* site) {
+    return config_.fault == nullptr || config_.fault->OnSite(site).ok();
+  };
   const bool want_cache = config_.cache_capacity > 0 &&
                           request.kind == RequestKind::kRankTuple;
   std::string cache_key;
@@ -324,91 +308,85 @@ RankResponse RankingService::Process(Pending& pending,
                                   request.tuple);
   }
 
-  // Stage 2: evaluation, shared by the model and proxy rungs. kFull
-  // capture keeps the provenance DNF the proxy rung needs. Budget trips
-  // make eval "unavailable"; genuine evaluator errors are fatal to the
-  // request (no rung can fix a malformed query).
+  // Stage 2: evaluation, run lazily by the first rung that needs it. kFull
+  // capture keeps the provenance the estimator rungs need. Budget trips
+  // make eval "unavailable"; evaluator errors and a kRankTuple tuple absent
+  // from the output are fatal (no rung can fix them). `inputs` holds the
+  // ranked output tuples' provenances, each streamed by its output index.
   std::optional<EvalResult> eval;
-  Status eval_fatal;
+  std::vector<LadderInput> inputs;
+  Status fatal;
   bool eval_tried = false;
   auto ensure_eval = [&]() -> bool {
-    if (eval.has_value()) return true;
-    if (eval_tried) return false;
+    if (eval_tried) return eval.has_value() && fatal.ok();
     eval_tried = true;
     if (!budget.Check(kSiteServeEval).ok()) return false;
     auto result = Evaluate(*snapshot.db, request.query,
                            EvalOptions().WithMetrics(config_.metrics));
     if (!result.ok()) {
-      eval_fatal = result.status();
+      fatal = result.status();
       return false;
     }
     eval = std::move(*result);
-    return budget.Check(kSiteServeEval).ok() || true;
-  };
-  // Indices of the output tuples this request ranks (requires eval).
-  auto targets = [&]() -> Result<std::vector<size_t>> {
-    std::vector<size_t> idx;
+    // Sticky post-eval check: an evaluation that overran the deadline trips
+    // the budget, steering the budgeted rungs away; the result stays usable
+    // by the proxy rung, so eval still counts as available.
+    (void)budget.Check(kSiteServeEval);
+    auto add = [&](size_t i) {
+      inputs.push_back({&eval->ProvenanceOf(i), i});
+    };
     if (request.kind == RequestKind::kRankTuple) {
       auto it = eval->index.find(request.tuple);
       if (it == eval->index.end()) {
-        return Status::NotFound("tuple is not in the query's output");
+        fatal = Status::NotFound("tuple is not in the query's output");
+        return false;
       }
-      idx.push_back(it->second);
+      add(it->second);
     } else {
       const size_t n =
           std::min(eval->tuples.size(), config_.max_explain_outputs);
-      idx.reserve(n);
-      for (size_t i = 0; i < n; ++i) idx.push_back(i);
+      for (size_t i = 0; i < n; ++i) add(i);
     }
-    return idx;
+    return true;
   };
 
   // Rung 1: full model rank — only with a ranker, an untripped budget,
   // and enough deadline left to plausibly finish a forward pass.
   if (ranker != nullptr && !budget.tripped() &&
-      budget.RemainingSeconds() >= config_.est_model_seconds) {
-    if (ensure_eval()) {
-      auto tgt = targets();
-      if (!tgt.ok()) {
-        response.status = tgt.status();
-        return response;
-      }
-      std::vector<RankedTuple> results;
-      results.reserve(tgt->size());
-      bool scored_all = true;
-      for (size_t i : *tgt) {
-        auto scores = ranker->ScoreLineageBudgeted(
-            *snapshot.db, request.query, eval->tuples[i], eval->lineages[i],
-            budget);
-        if (!scores.ok()) {
-          scored_all = false;  // budget tripped mid-lineage: degrade
-          break;
-        }
-        results.push_back(MakeRanked(eval->tuples[i], *scores));
-      }
-      if (scored_all) {
-        if (config_.cache_capacity > 0) {
-          for (const RankedTuple& rt : results) {
-            CachedRanking cached;
-            cached.scores.reserve(rt.ranking.size());
-            for (size_t j = 0; j < rt.ranking.size(); ++j) {
-              cached.scores.emplace_back(rt.ranking[j], rt.scores[j]);
-            }
-            cache_->Put(want_cache
-                            ? cache_key
-                            : RankingCache::Key(snapshot.db_fingerprint,
-                                                request.query, rt.tuple),
-                        std::move(cached));
+      budget.RemainingSeconds() >= config_.est_model_seconds &&
+      ensure_eval()) {
+    std::vector<RankedTuple> results;
+    results.reserve(inputs.size());
+    for (const LadderInput& in : inputs) {
+      const size_t i = in.stream;
+      auto scores = ranker->ScoreLineageBudgeted(
+          *snapshot.db, request.query, eval->tuples[i], eval->lineages[i],
+          budget);
+      if (!scores.ok()) break;  // budget tripped mid-lineage: degrade
+      results.push_back(MakeRanked(eval->tuples[i], *scores));
+    }
+    if (results.size() == inputs.size()) {
+      if (config_.cache_capacity > 0) {
+        for (const RankedTuple& rt : results) {
+          CachedRanking cached;
+          cached.scores.reserve(rt.ranking.size());
+          for (size_t j = 0; j < rt.ranking.size(); ++j) {
+            cached.scores.emplace_back(rt.ranking[j], rt.scores[j]);
           }
+          cache_->Put(want_cache
+                          ? cache_key
+                          : RankingCache::Key(snapshot.db_fingerprint,
+                                              request.query, rt.tuple),
+                      std::move(cached));
         }
-        response.rung = ServeRung::kModel;
-        response.results = std::move(results);
-        return response;
       }
+      response.rung = ServeRung::kModel;
+      response.results = std::move(results);
+      return response;
     }
   }
-  if (!eval_fatal.ok()) {
-    response.status = eval_fatal;
+  if (!fatal.ok()) {
+    response.status = fatal;
     return response;
   }
 
@@ -416,11 +394,8 @@ RankResponse RankingService::Process(Pending& pending,
   // sharded-LRU probe is the cheapest thing the service can still do for
   // an almost-expired request.
   if (want_cache) {
-    const bool cache_usable =
-        config_.fault == nullptr ||
-        config_.fault->OnSite(kSiteServeCache).ok();
     CachedRanking cached;
-    if (cache_usable && cache_->Get(cache_key, &cached)) {
+    if (site_ok(kSiteServeCache) && cache_->Get(cache_key, &cached)) {
       RankedTuple rt;
       rt.tuple = request.tuple;
       rt.ranking.reserve(cached.scores.size());
@@ -435,88 +410,52 @@ RankResponse RankingService::Process(Pending& pending,
     }
   }
 
-  // Rung 3 (opt-in): relation-stratified MC Shapley over the tuple's
-  // provenance — the serving twin of the corpus builder's stratified rung
-  // (DESIGN.md §13), for deployments that want estimator-grade scores when
-  // the model is unavailable but real sampling still fits the deadline.
-  // Off by default (stratified_samples == 0), so the historical ladder is
-  // unchanged. The samples charge the request's budget; a mid-rung trip
-  // falls through to the proxy below. Seeded per (snapshot, query, tuple
-  // index), so a given request is scored identically on every replay.
-  if (config_.stratified_samples > 0 && !budget.tripped() &&
-      budget.RemainingSeconds() >= config_.est_stratified_seconds) {
-    const bool stratified_usable =
-        config_.fault == nullptr ||
-        config_.fault->OnSite(kSiteServeStratified).ok();
-    if (stratified_usable && ensure_eval()) {
-      auto tgt = targets();
-      if (!tgt.ok()) {
-        response.status = tgt.status();
-        return response;
-      }
-      std::vector<RankedTuple> results;
-      results.reserve(tgt->size());
-      bool scored_all = true;
-      for (size_t i : *tgt) {
-        const Dnf& prov = eval->ProvenanceOf(i);
-        const std::vector<FactId> lineage = prov.Variables();
-        std::vector<uint32_t> strata(lineage.size());
-        for (size_t j = 0; j < lineage.size(); ++j) {
-          strata[j] = snapshot.db->FactTableIndex(lineage[j]);
+  // Rungs 3-4: the estimator ladder (shapley/ladder.h), all-or-nothing
+  // across the ranked tuples and seeded per (snapshot, query, output
+  // index), so a request scores identically on every replay.
+  //  - Stratified MC (opt-in): needs an untripped budget with
+  //    est_stratified_seconds left, and charges it, so a mid-rung trip
+  //    falls through to the proxy.
+  //  - CNF proxy: polynomial, so unbudgeted, over provenance already in hand
+  //    (a model rung that tripped mid-scoring left a usable eval) or
+  //    evaluated now if the deadline has not yet passed.
+  ExecutionBudget unlimited = ExecutionBudget::Unlimited();
+  const LadderResult ladder = RunLadder(
+      *snapshot.db,
+      {{EstimatorRung::kStratified, config_.stratified_samples},
+       {EstimatorRung::kCnfProxy}},
+      snapshot.db_fingerprint ^
+          FnvChecksum(request.query.id.data(), request.query.id.size()),
+      inputs, [&](EstimatorRung rung) -> ExecutionBudget* {
+        if (!fatal.ok()) return nullptr;
+        if (rung == EstimatorRung::kStratified) {
+          const bool feasible =
+              !budget.tripped() &&
+              budget.RemainingSeconds() >= config_.est_stratified_seconds;
+          return feasible && site_ok(kSiteServeStratified) && ensure_eval()
+                     ? &budget
+                     : nullptr;
         }
-        Rng rng(snapshot.db_fingerprint ^ FnvOf(request.query.id) ^
-                (0xda942042e4dd58b5ULL * (i + 1)));
-        auto scores = ComputeShapleyStratified(
-            prov, strata, config_.stratified_samples, rng, budget);
-        if (!scores.ok()) {
-          scored_all = false;  // budget tripped mid-estimate: degrade
-          break;
-        }
-        results.push_back(MakeRanked(eval->tuples[i], *scores));
-      }
-      if (scored_all) {
-        response.rung = ServeRung::kStratified;
-        response.results = std::move(results);
-        return response;
-      }
-    }
-  }
-  if (!eval_fatal.ok()) {
-    response.status = eval_fatal;
+        if (!site_ok(kSiteServeProxy)) return nullptr;
+        const bool have_eval =
+            eval.has_value() || (!budget.tripped() &&
+                                 budget.RemainingSeconds() > 0.0 &&
+                                 ensure_eval());
+        return have_eval ? &unlimited : nullptr;
+      });
+  if (!fatal.ok()) {
+    response.status = fatal;
     return response;
   }
-
-  // Rung 4: CNF-proxy heuristic over provenance already in hand (a model
-  // rung that tripped mid-scoring left a usable eval), or computed now if
-  // the deadline has not yet passed.
-  const bool proxy_usable =
-      config_.fault == nullptr || config_.fault->OnSite(kSiteServeProxy).ok();
-  if (proxy_usable) {
-    bool have_eval = eval.has_value();
-    if (!have_eval && !budget.tripped() && budget.RemainingSeconds() > 0.0) {
-      have_eval = ensure_eval();
+  if (ladder.rung.has_value()) {
+    response.rung = *ladder.rung == EstimatorRung::kStratified
+                        ? ServeRung::kStratified
+                        : ServeRung::kCnfProxy;
+    for (size_t k = 0; k < inputs.size(); ++k) {
+      response.results.push_back(
+          MakeRanked(eval->tuples[inputs[k].stream], ladder.values[k]));
     }
-    if (have_eval) {
-      auto tgt = targets();
-      if (!tgt.ok()) {
-        response.status = tgt.status();
-        return response;
-      }
-      std::vector<RankedTuple> results;
-      results.reserve(tgt->size());
-      for (size_t i : *tgt) {
-        results.push_back(
-            MakeRanked(eval->tuples[i],
-                       ComputeCnfProxyUnlimited(eval->ProvenanceOf(i))));
-      }
-      response.rung = ServeRung::kCnfProxy;
-      response.results = std::move(results);
-      return response;
-    }
-    if (!eval_fatal.ok()) {
-      response.status = eval_fatal;
-      return response;
-    }
+    return response;
   }
 
   // Rung 5: explicit degradation — an honest empty answer instead of a
@@ -543,23 +482,7 @@ void RankingService::FinishResponse(Pending& pending, RankResponse response,
   if (!response.status.ok()) {
     errors_.Inc();
   } else {
-    switch (response.rung) {
-      case ServeRung::kModel:
-        rung_model_.Inc();
-        break;
-      case ServeRung::kCached:
-        rung_cached_.Inc();
-        break;
-      case ServeRung::kStratified:
-        rung_stratified_.Inc();
-        break;
-      case ServeRung::kCnfProxy:
-        rung_proxy_.Inc();
-        break;
-      case ServeRung::kDegraded:
-        rung_degraded_.Inc();
-        break;
-    }
+    rung_[static_cast<size_t>(response.rung)].Inc();
   }
   pending.promise.set_value(std::move(response));
 }

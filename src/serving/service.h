@@ -234,8 +234,7 @@ class RankingService {
   Counter submitted_, admitted_, completed_, errors_, cancelled_;
   Counter rejected_queue_full_, rejected_backlog_, rejected_deadline_,
       rejected_no_snapshot_, rejected_fault_, rejected_shutdown_;
-  Counter rung_model_, rung_cached_, rung_stratified_, rung_proxy_,
-      rung_degraded_;
+  Counter rung_[static_cast<size_t>(ServeRung::kDegraded) + 1];  // by rung
   Histogram queue_seconds_, latency_seconds_, batch_size_;
 };
 

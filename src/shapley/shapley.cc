@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -23,47 +24,34 @@ long double ShapleyWeight(size_t n, size_t k) {
   return 1.0L / (static_cast<long double>(n) * row[k]);
 }
 
-}  // namespace
-
-Result<ShapleyValues> ComputeShapleyExact(const Dnf& provenance,
-                                          ExecutionBudget& budget) {
-  ShapleyValues out;
-  const std::vector<FactId> lineage = provenance.Variables();
-  const size_t n = lineage.size();
-  if (n == 0) return out;
-
-  DnfCompiler compiler;
-  Result<std::unique_ptr<Circuit>> compiled =
-      compiler.Compile(provenance, budget);
-  if (!compiled.ok()) return compiled.status();
-  std::unique_ptr<Circuit> circuit = std::move(compiled).value();
-  const NodeId root = circuit->root();
-  CountingSession session(circuit.get());
-
-  for (FactId f : lineage) {
-    // Each per-fact pass re-traverses at most the whole circuit, which is
-    // within the node budget already charged — so a poll per fact bounds
-    // the counting phase at circuit-size granularity.
-    Status s = budget.Check(kSiteShapleyCount);
-    if (!s.ok()) return s;
-    // Counts of subsets E ⊆ lineage \ {f} of each size satisfying Φ with f
-    // forced true / false. The circuit support may be smaller than the
-    // lineage (absorbed-clause variables are null players); extension adds
-    // the missing variables as free.
-    CountVec c1 = ExtendCounts(session.Forced(root, f, true), n - 1);
-    CountVec c0 = ExtendCounts(session.Forced(root, f, false), n - 1);
-    long double value = 0.0L;
-    for (size_t k = 0; k < n; ++k) {
-      const long double pivotal = c1[k] - c0[k];
-      if (pivotal != 0.0L) value += ShapleyWeight(n, k) * pivotal;
-    }
-    out[f] = static_cast<double>(value);
+// One permutation walk of a monotone provenance: shuffles `order`, then adds
+// its facts in turn to the (sorted) coalition `present`. Returns the fact
+// whose arrival first satisfies the provenance — the permutation's only
+// pivotal player — or nothing if the empty coalition already satisfies it.
+std::optional<FactId> PivotOfPermutation(const Dnf& provenance,
+                                         std::vector<FactId>& order,
+                                         std::vector<FactId>& present,
+                                         Rng& rng) {
+  rng.Shuffle(order);
+  present.clear();
+  if (provenance.Evaluate(present)) return std::nullopt;  // empty clause
+  for (FactId f : order) {
+    present.insert(std::upper_bound(present.begin(), present.end(), f), f);
+    if (provenance.Evaluate(present)) return f;
   }
-  return out;
+  return std::nullopt;
 }
 
-Result<ShapleyValues> ComputeBanzhafExact(const Dnf& provenance,
-                                          ExecutionBudget& budget) {
+// Compiles the provenance into a decision-DNNF circuit, then scores each
+// lineage fact f as score(c1, c0, n) from c1[k] / c0[k], the number of
+// size-k subsets E ⊆ lineage \ {f} satisfying Φ with f forced true /
+// false. Polls `site` once per fact: each per-fact pass re-traverses at
+// most the whole circuit, which is within the node budget already charged,
+// so the poll bounds counting at circuit-size granularity.
+template <typename Score>
+Result<ShapleyValues> ScoreFromCounts(const Dnf& provenance,
+                                      ExecutionBudget& budget,
+                                      const char* site, Score&& score) {
   ShapleyValues out;
   const std::vector<FactId> lineage = provenance.Variables();
   const size_t n = lineage.size();
@@ -75,20 +63,45 @@ Result<ShapleyValues> ComputeBanzhafExact(const Dnf& provenance,
   if (!circuit.ok()) return circuit.status();
   const NodeId root = (*circuit)->root();
   CountingSession session(circuit->get());
-
-  // Banzhaf(f) = (#E with Φ[f=1] − #E with Φ[f=0]) / 2^(n-1): total model
-  // counts, uniformly weighted over coalition sizes.
-  const long double denom = std::pow(2.0L, static_cast<long double>(n - 1));
   for (FactId f : lineage) {
-    Status status = budget.Check(kSiteBanzhafCount);
-    if (!status.ok()) return status;
-    CountVec c1 = ExtendCounts(session.Forced(root, f, true), n - 1);
-    CountVec c0 = ExtendCounts(session.Forced(root, f, false), n - 1);
-    long double pivotal = 0.0L;
-    for (size_t k = 0; k < n; ++k) pivotal += c1[k] - c0[k];
-    out[f] = static_cast<double>(pivotal / denom);
+    Status s = budget.Check(site);
+    if (!s.ok()) return s;
+    // The circuit support may be smaller than the lineage (absorbed-clause
+    // variables are null players); extension adds them back as free.
+    const CountVec c1 = ExtendCounts(session.Forced(root, f, true), n - 1);
+    const CountVec c0 = ExtendCounts(session.Forced(root, f, false), n - 1);
+    out[f] = static_cast<double>(score(c1, c0, n));
   }
   return out;
+}
+
+}  // namespace
+
+Result<ShapleyValues> ComputeShapleyExact(const Dnf& provenance,
+                                          ExecutionBudget& budget) {
+  return ScoreFromCounts(
+      provenance, budget, kSiteShapleyCount,
+      [](const CountVec& c1, const CountVec& c0, size_t n) {
+        long double value = 0.0L;
+        for (size_t k = 0; k < n; ++k) {
+          const long double pivotal = c1[k] - c0[k];
+          if (pivotal != 0.0L) value += ShapleyWeight(n, k) * pivotal;
+        }
+        return value;
+      });
+}
+
+Result<ShapleyValues> ComputeBanzhafExact(const Dnf& provenance,
+                                          ExecutionBudget& budget) {
+  // Banzhaf(f) = (#E with Φ[f=1] − #E with Φ[f=0]) / 2^(n-1): total model
+  // counts, uniformly weighted over coalition sizes.
+  return ScoreFromCounts(
+      provenance, budget, kSiteBanzhafCount,
+      [](const CountVec& c1, const CountVec& c0, size_t n) {
+        long double pivotal = 0.0L;
+        for (size_t k = 0; k < n; ++k) pivotal += c1[k] - c0[k];
+        return pivotal / std::pow(2.0L, static_cast<long double>(n - 1));
+      });
 }
 
 Result<ShapleyValues> ComputeShapleyBrute(const Dnf& provenance) {
@@ -137,6 +150,10 @@ Result<ShapleyValues> ComputeShapleyMonteCarlo(const Dnf& provenance,
   std::vector<FactId> lineage = provenance.Variables();
   const size_t n = lineage.size();
   if (n == 0) return out;
+  if (num_samples == 0) {
+    return Status::InvalidArgument(
+        "Monte-Carlo Shapley requires num_samples >= 1");
+  }
   for (FactId f : lineage) out[f] = 0.0;
 
   const bool budgeted = !budget.unlimited();
@@ -148,17 +165,8 @@ Result<ShapleyValues> ComputeShapleyMonteCarlo(const Dnf& provenance,
       Status status = budget.Charge(1, kSiteShapleyMcSample);
       if (!status.ok()) return status;
     }
-    rng.Shuffle(order);
-    present.clear();
-    bool prev = provenance.Evaluate(present);  // false unless empty clause
-    for (FactId f : order) {
-      present.insert(std::upper_bound(present.begin(), present.end(), f), f);
-      const bool now = prev || provenance.Evaluate(present);
-      if (now && !prev) out[f] += 1.0;
-      prev = now;
-      // Monotone: once satisfied, later players are never pivotal in this
-      // permutation.
-      if (prev) break;
+    if (auto pivot = PivotOfPermutation(provenance, order, present, rng)) {
+      out[*pivot] += 1.0;
     }
   }
   for (auto& [f, v] : out) v /= static_cast<double>(num_samples);
@@ -210,21 +218,10 @@ Result<ShapleyValues> ComputeShapleyStratified(const Dnf& provenance,
         Status status = budget.Charge(1, kSiteShapleyStratPilot);
         if (!status.ok()) return status;
       }
-      rng.Shuffle(order);
-      present.clear();
-      bool prev = provenance.Evaluate(present);
-      for (FactId f : order) {
-        present.insert(std::upper_bound(present.begin(), present.end(), f),
-                       f);
-        const bool now = prev || provenance.Evaluate(present);
-        if (now && !prev) {
-          const size_t idx = static_cast<size_t>(
-              std::lower_bound(lineage.begin(), lineage.end(), f) -
-              lineage.begin());
-          ++pivots[idx];
-        }
-        prev = now;
-        if (prev) break;
+      if (auto pivot = PivotOfPermutation(provenance, order, present, rng)) {
+        ++pivots[static_cast<size_t>(
+            std::lower_bound(lineage.begin(), lineage.end(), *pivot) -
+            lineage.begin())];
       }
     }
     // Smoothed pivot-rate estimate: strata that never pivoted in the pilot
@@ -415,47 +412,50 @@ Result<ShapleyValues> ComputeCnfProxy(const Dnf& provenance,
   return out;
 }
 
+namespace {
+
 // Unlimited wrappers (DESIGN.md §9.4): the budgeted form with an
 // unlimited budget, which cannot trip.
-ShapleyValues ComputeShapleyExactUnlimited(const Dnf& provenance) {
+template <typename Estimator>
+ShapleyValues RunUnlimited(Estimator&& estimate) {
   ExecutionBudget unlimited = ExecutionBudget::Unlimited();
-  Result<ShapleyValues> result = ComputeShapleyExact(provenance, unlimited);
+  Result<ShapleyValues> result = estimate(unlimited);
   LSHAP_CHECK(result.ok());
   return std::move(result).value();
+}
+
+}  // namespace
+
+ShapleyValues ComputeShapleyExactUnlimited(const Dnf& provenance) {
+  return RunUnlimited(
+      [&](ExecutionBudget& b) { return ComputeShapleyExact(provenance, b); });
 }
 
 ShapleyValues ComputeShapleyMonteCarloUnlimited(const Dnf& provenance,
                                                 size_t num_samples,
                                                 Rng& rng) {
-  ExecutionBudget unlimited = ExecutionBudget::Unlimited();
-  Result<ShapleyValues> result =
-      ComputeShapleyMonteCarlo(provenance, num_samples, rng, unlimited);
-  LSHAP_CHECK(result.ok());
-  return std::move(result).value();
+  return RunUnlimited([&](ExecutionBudget& b) {
+    return ComputeShapleyMonteCarlo(provenance, num_samples, rng, b);
+  });
 }
 
 ShapleyValues ComputeShapleyStratifiedUnlimited(
     const Dnf& provenance, const std::vector<uint32_t>& strata,
     size_t num_samples, Rng& rng, const StratifiedMcOptions& options) {
-  ExecutionBudget unlimited = ExecutionBudget::Unlimited();
-  Result<ShapleyValues> result = ComputeShapleyStratified(
-      provenance, strata, num_samples, rng, unlimited, options);
-  LSHAP_CHECK(result.ok());
-  return std::move(result).value();
+  return RunUnlimited([&](ExecutionBudget& b) {
+    return ComputeShapleyStratified(provenance, strata, num_samples, rng, b,
+                                    options);
+  });
 }
 
 ShapleyValues ComputeBanzhafExactUnlimited(const Dnf& provenance) {
-  ExecutionBudget unlimited = ExecutionBudget::Unlimited();
-  Result<ShapleyValues> result = ComputeBanzhafExact(provenance, unlimited);
-  LSHAP_CHECK(result.ok());
-  return std::move(result).value();
+  return RunUnlimited(
+      [&](ExecutionBudget& b) { return ComputeBanzhafExact(provenance, b); });
 }
 
 ShapleyValues ComputeCnfProxyUnlimited(const Dnf& provenance) {
-  ExecutionBudget unlimited = ExecutionBudget::Unlimited();
-  Result<ShapleyValues> result = ComputeCnfProxy(provenance, unlimited);
-  LSHAP_CHECK(result.ok());
-  return std::move(result).value();
+  return RunUnlimited(
+      [&](ExecutionBudget& b) { return ComputeCnfProxy(provenance, b); });
 }
 
 std::vector<FactId> RankByScore(const ShapleyValues& scores) {

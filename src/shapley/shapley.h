@@ -65,6 +65,8 @@ Result<ShapleyValues> ComputeShapleyBrute(const Dnf& provenance);
 
 // Monte-Carlo permutation-sampling estimate with `num_samples` random
 // permutations. Unbiased; per-fact standard error ~ O(1/sqrt(num_samples)).
+// Returns kInvalidArgument for num_samples 0 on a non-empty lineage (there
+// is no estimate to average).
 //
 // Budget: charges one work unit (with its implied deadline/cancel/fault
 // poll) per sampled permutation at kSiteShapleyMcSample. One permutation

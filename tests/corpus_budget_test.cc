@@ -5,12 +5,17 @@
 // corpus.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "corpus/corpus.h"
 #include "corpus/io.h"
@@ -468,6 +473,149 @@ TEST_F(CorpusBudgetTest, BuildToShardsMatchesInMemoryBuild) {
   EXPECT_EQ(loaded->stats.exact, mem.stats.exact);
   EXPECT_EQ(loaded->stats.budget_trips, mem.stats.budget_trips);
   ExpectPerShardStatsMergeToTotals(loaded->stats, 2);
+}
+
+
+// --- Zero-sample Monte-Carlo rung. ---
+
+// mc_fallback_samples = 0 removes the Monte-Carlo rung from the ladder: a
+// tuple the exact rung drops goes straight to the CNF proxy instead of
+// receiving a 0/0 estimate.
+TEST_F(CorpusBudgetTest, ZeroMcSamplesFallsThroughToCnfProxy) {
+  CorpusConfig cfg = SmallConfig();
+  cfg.max_circuit_nodes = 1;  // every exact compile trips
+  cfg.mc_fallback_samples = 0;
+  const Corpus c = Build(cfg);
+
+  EXPECT_EQ(c.stats.exact, 0u);
+  EXPECT_EQ(c.stats.monte_carlo, 0u);
+  EXPECT_GT(c.stats.cnf_proxy, 0u);
+  ExpectLadderAccounting(c);
+  ExpectValidSplit(c);
+  for (const auto& e : c.entries) {
+    for (const auto& contrib : e.contributions) {
+      for (const auto& [f, v] : contrib.shapley) {
+        EXPECT_FALSE(std::isnan(v)) << "fact " << f;
+      }
+    }
+  }
+}
+
+// --- Recorded pins of the ladder's output. ---
+
+// FNV-1a over little-endian 64-bit words and strings.
+struct Fnv1a {
+  uint64_t h = 0xcbf29ce484222325ull;
+  void Byte(unsigned char b) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  void Word(uint64_t w) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<unsigned char>(w >> (8 * i)));
+  }
+  void Str(const std::string& s) {
+    Word(s.size());
+    for (unsigned char c : s) Byte(c);
+  }
+};
+
+// Every contribution's (fact id, value bits) in entry order, facts sorted
+// by id, then the rung counts and the trip map.
+uint64_t LadderPin(const Corpus& c) {
+  Fnv1a f;
+  for (const auto& e : c.entries) {
+    for (const auto& contrib : e.contributions) {
+      std::vector<std::pair<FactId, double>> items(contrib.shapley.begin(),
+                                                   contrib.shapley.end());
+      std::sort(items.begin(), items.end());
+      f.Word(items.size());
+      for (const auto& [fact, v] : items) {
+        uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        f.Word(fact);
+        f.Word(bits);
+      }
+    }
+  }
+  const BuildStats& s = c.stats;
+  for (size_t n : {s.exact, s.stratified, s.monte_carlo, s.cnf_proxy,
+                   s.skipped}) {
+    f.Word(n);
+  }
+  for (const auto& [site, n] : s.budget_trips) {
+    f.Str(site);
+    f.Word(n);
+  }
+  return f.h;
+}
+
+// A node cap that some tuples' circuits fit under and others do not, so
+// one build exercises the exact rung and the rung below it.
+constexpr size_t kPinNodeCap = 40;
+
+// The rung each build is meant to engage, and its pin as recorded before
+// the estimator ladder was extracted into shapley/ladder.h. A changed rung
+// seed, stratum or fall-through order moves these.
+TEST_F(CorpusBudgetTest, LadderOutputMatchesRecordedPins) {
+  struct PinCase {
+    const char* name;
+    uint64_t pin;
+  };
+  const PinCase cases[] = {
+      {"exact+stratified", 11498807486450374627ull},
+      {"exact+monte_carlo", 17650140085748458515ull},
+      {"cnf_proxy", 6891842260897727846ull},
+      {"skip", 15973783479643027512ull},
+  };
+  auto config_for = [&](size_t i, FaultInjector& fault) {
+    CorpusConfig cfg = SmallConfig();
+    switch (i) {
+      case 0:
+        cfg.max_circuit_nodes = kPinNodeCap;
+        cfg.stratified_fallback_samples = 64;
+        break;
+      case 1:
+        cfg.max_circuit_nodes = kPinNodeCap;
+        break;
+      case 3:
+        fault.FailWithProbability(kSiteCnfProxy, 1.0);
+        [[fallthrough]];
+      case 2:
+        fault.FailWithProbability(kSiteCompilerExpand, 1.0);
+        fault.FailWithProbability(kSiteShapleyMcSample, 1.0);
+        cfg.fault_injector = &fault;
+        break;
+    }
+    return cfg;
+  };
+  ThreadPool serial(1);
+  for (ThreadPool* pool : {&serial, &pool_}) {
+    for (size_t i = 0; i < 4; ++i) {
+      FaultInjector fault;
+      const Corpus c =
+          BuildCorpus(*data_.db, data_.graph, config_for(i, fault), *pool);
+      switch (i) {
+        case 0:
+          EXPECT_GT(c.stats.exact, 0u);
+          EXPECT_GT(c.stats.stratified, 0u);
+          break;
+        case 1:
+          EXPECT_GT(c.stats.exact, 0u);
+          EXPECT_GT(c.stats.monte_carlo, 0u);
+          break;
+        case 2:
+          EXPECT_GT(c.stats.cnf_proxy, 0u);
+          EXPECT_EQ(c.stats.cnf_proxy + c.stats.skipped, c.stats.attempted());
+          break;
+        case 3:
+          EXPECT_EQ(c.stats.skipped, c.stats.attempted());
+          break;
+      }
+      ExpectLadderAccounting(c);
+      EXPECT_EQ(LadderPin(c), cases[i].pin)
+          << cases[i].name << " at " << pool->num_threads() << " threads";
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <future>
 #include <memory>
 #include <thread>
@@ -12,6 +13,7 @@
 #include "serving/cache.h"
 #include "serving/service.h"
 #include "serving/snapshot.h"
+#include "shapley/shapley.h"
 
 namespace lshap {
 namespace {
@@ -211,6 +213,90 @@ TEST_F(ServingTest, StratifiedFaultFallsThroughToProxy) {
   EXPECT_EQ(resp.rung, ServeRung::kCnfProxy);
   EXPECT_EQ(metrics.CounterValue("serve.rung.stratified"), 0u);
   EXPECT_EQ(metrics.CounterValue("serve.rung.cnf_proxy"), 1u);
+}
+
+// FNV-1a over every result's ranking and score bits, in response order.
+uint64_t ScoresPin(const RankResponse& resp) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto word = [&h](uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<unsigned char>(w >> (8 * i));
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const RankedTuple& rt : resp.results) {
+    word(rt.ranking.size());
+    for (size_t i = 0; i < rt.ranking.size(); ++i) {
+      uint64_t bits;
+      std::memcpy(&bits, &rt.scores[i], sizeof bits);
+      word(rt.ranking[i]);
+      word(bits);
+    }
+  }
+  return h;
+}
+
+// The stratified rung's scores, recorded before the estimator ladder was
+// extracted into shapley/ladder.h: the per-request seed (snapshot
+// fingerprint, query id, target index) and the relation strata must not
+// move.
+TEST_F(ServingTest, StratifiedScoresMatchRecordedPin) {
+  RankingService svc{ServiceConfig{}.WithStratifiedSamples(64)};
+  ASSERT_TRUE(svc.Publish(db_, /*ranker=*/nullptr).ok());
+
+  RankResponse tuple = svc.Rank(AliceRequest());
+  ASSERT_TRUE(tuple.status.ok()) << tuple.status.ToString();
+  ASSERT_EQ(tuple.rung, ServeRung::kStratified);
+  EXPECT_EQ(ScoresPin(tuple), 8882975139510032311ull);
+
+  RankRequest req;
+  req.kind = RequestKind::kExplainQuery;
+  req.query = ex_.q_inf;
+  RankResponse explain = svc.Rank(req);
+  ASSERT_TRUE(explain.status.ok()) << explain.status.ToString();
+  ASSERT_EQ(explain.rung, ServeRung::kStratified);
+  ASSERT_EQ(explain.results.size(), 2u);
+  EXPECT_EQ(ScoresPin(explain), 10693536908551294820ull);
+}
+
+// The stratified rung is all-or-nothing over an ExplainQuery's targets: a
+// work cap that covers the first target's samples but not the second's
+// trips the rung mid-batch, and every target comes back from the proxy.
+TEST_F(ServingTest, ExplainQueryStratifiedTripMidBatchFallsToProxy) {
+  constexpr size_t kSamples = 64;  // below 2x the pilot: no pilot pass
+  auto eval = Evaluate(*db_, ex_.q_inf, EvalOptions());
+  ASSERT_TRUE(eval.ok()) << eval.status().ToString();
+  ASSERT_EQ(eval->tuples.size(), 2u);
+  // One unit per marginal sample: kSamples per lineage fact.
+  const uint64_t first = kSamples * eval->ProvenanceOf(0).Variables().size();
+  const uint64_t second = kSamples * eval->ProvenanceOf(1).Variables().size();
+  ASSERT_GT(second, 1u);
+
+  RankingService svc{ServiceConfig{}.WithStratifiedSamples(kSamples)};
+  ASSERT_TRUE(svc.Publish(db_, /*ranker=*/nullptr).ok());
+  RankRequest req;
+  req.kind = RequestKind::kExplainQuery;
+  req.query = ex_.q_inf;
+  req.max_work_units = first + second;
+  RankResponse full = svc.Rank(req);
+  ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+  EXPECT_EQ(full.rung, ServeRung::kStratified);
+
+  req.max_work_units = first + second / 2;
+  RankResponse resp = svc.Rank(req);
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  EXPECT_EQ(resp.rung, ServeRung::kCnfProxy);
+  ASSERT_EQ(resp.results.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    const ShapleyValues proxy = ComputeCnfProxyUnlimited(eval->ProvenanceOf(i));
+    const RankedTuple& rt = resp.results[i];
+    EXPECT_EQ(rt.tuple, eval->tuples[i]);
+    EXPECT_EQ(rt.ranking, RankByScore(proxy));
+    ASSERT_EQ(rt.scores.size(), rt.ranking.size());
+    for (size_t j = 0; j < rt.ranking.size(); ++j) {
+      EXPECT_EQ(rt.scores[j], proxy.at(rt.ranking[j]));
+    }
+  }
 }
 
 TEST_F(ServingTest, DegradedResponseWhenBudgetTripsBeforeEval) {

@@ -3,7 +3,10 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "eval/evaluator.h"
+#include "paper_fixture.h"
 #include "provenance/bool_expr.h"
+#include "shapley/ladder.h"
 #include "shapley/shapley.h"
 
 namespace lshap {
@@ -155,6 +158,17 @@ TEST(ShapleyMonteCarloTest, ConvergesToExact) {
   }
 }
 
+TEST(ShapleyMonteCarloTest, RejectsZeroSamples) {
+  Rng data_rng(31);
+  const Dnf d = RandomDnf(data_rng, 8, 4, 3);
+  ExecutionBudget budget = ExecutionBudget::Unlimited();
+  Rng rng(1);
+  // Zero permutations have no average: an error, not 0/0 NaN values.
+  const auto r = ComputeShapleyMonteCarlo(d, 0, rng, budget);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
 // ---- Relation-stratified Monte Carlo (ComputeShapleyStratified) ----
 
 // Strata by fact-id parity: a cheap stand-in for "relation of origin" that
@@ -277,6 +291,123 @@ TEST(CnfProxyTest, TopFactMatchesExactOnSimpleProvenance) {
   EXPECT_GT(proxy.at(c1), proxy.at(c2));
   const auto ranking = RankByScore(proxy);
   EXPECT_EQ(ranking[0], a1);
+}
+
+// ---- The estimator ladder (RunLadder) ----
+
+class EstimatorLadderTest : public ::testing::Test {
+ protected:
+  EstimatorLadderTest() : ex_(MakePaperExample()) {
+    auto eval = Evaluate(*ex_.db, ex_.q_inf, EvalOptions());
+    EXPECT_TRUE(eval.ok());
+    eval_ = std::move(eval).value();
+  }
+
+  // Both q_inf outputs (Alice, Bob), seeded as streams 0 and 1.
+  std::vector<LadderInput> Inputs() const {
+    return {{&eval_.ProvenanceOf(0), 0}, {&eval_.ProvenanceOf(1), 1}};
+  }
+
+  PaperExample ex_;
+  EvalResult eval_;
+};
+
+TEST_F(EstimatorLadderTest, ZeroSampleRungIsAbsent) {
+  std::vector<EstimatorRung> asked;
+  ExecutionBudget budget = ExecutionBudget::Unlimited();
+  const LadderResult r = RunLadder(
+      *ex_.db,
+      {{EstimatorRung::kMonteCarlo, 0}, {EstimatorRung::kStratified, 0},
+       {EstimatorRung::kCnfProxy}},
+      /*seed_base=*/1, Inputs(), [&](EstimatorRung rung) {
+        asked.push_back(rung);
+        return &budget;
+      });
+  // Neither sampling rung is consulted, let alone run.
+  EXPECT_EQ(asked, std::vector<EstimatorRung>{EstimatorRung::kCnfProxy});
+  ASSERT_EQ(r.rung, EstimatorRung::kCnfProxy);
+  ASSERT_EQ(r.values.size(), 2u);
+  EXPECT_TRUE(r.trip_sites.empty());
+  EXPECT_FALSE(r.cancelled);
+}
+
+TEST_F(EstimatorLadderTest, SkippedRungFallsThroughWithoutATrip) {
+  ExecutionBudget budget = ExecutionBudget::Unlimited();
+  const LadderResult r = RunLadder(
+      *ex_.db, {{EstimatorRung::kExact}, {EstimatorRung::kCnfProxy}}, 1,
+      Inputs(), [&](EstimatorRung rung) -> ExecutionBudget* {
+        return rung == EstimatorRung::kExact ? nullptr : &budget;
+      });
+  EXPECT_EQ(r.rung, EstimatorRung::kCnfProxy);
+  EXPECT_TRUE(r.trip_sites.empty());
+}
+
+// A rung is taken only if it succeeds for every input: a work cap that
+// covers the first input's samples but not the second's drops the whole
+// rung, and every input comes back from the next one.
+TEST_F(EstimatorLadderTest, RungIsAllOrNothingOverTheBatch) {
+  constexpr size_t kSamples = 8;  // below 2x the pilot: no pilot pass
+  const uint64_t first = kSamples * eval_.ProvenanceOf(0).Variables().size();
+  ExecutionBudget capped({0.0, first + 1});
+  ExecutionBudget unlimited = ExecutionBudget::Unlimited();
+  const LadderResult r = RunLadder(
+      *ex_.db,
+      {{EstimatorRung::kStratified, kSamples}, {EstimatorRung::kCnfProxy}},
+      1, Inputs(), [&](EstimatorRung rung) {
+        return rung == EstimatorRung::kStratified ? &capped : &unlimited;
+      });
+  ASSERT_EQ(r.rung, EstimatorRung::kCnfProxy);
+  EXPECT_EQ(r.trip_sites,
+            std::vector<std::string>{kSiteShapleyStratSample});
+  ASSERT_EQ(r.values.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(r.values[i], ComputeCnfProxyUnlimited(eval_.ProvenanceOf(i)));
+  }
+}
+
+// A sampling rung's values depend on (seed_base, stream) only, not on the
+// input's position in the batch.
+TEST_F(EstimatorLadderTest, SamplingSeedFollowsTheStream) {
+  ExecutionBudget budget = ExecutionBudget::Unlimited();
+  auto run = [&](const std::vector<LadderInput>& inputs) {
+    return RunLadder(*ex_.db, {{EstimatorRung::kStratified, 16}}, 42, inputs,
+                     [&](EstimatorRung) { return &budget; });
+  };
+  // The multi-derivation output: a single conjunction has no variance.
+  const size_t k = eval_.ProvenanceOf(0).num_clauses() > 1 ? 0 : 1;
+  ASSERT_GT(eval_.ProvenanceOf(k).num_clauses(), 1u);
+  const LadderResult both = run(Inputs());
+  const LadderResult alone = run({Inputs()[k]});
+  ASSERT_EQ(both.values.size(), 2u);
+  ASSERT_EQ(alone.values.size(), 1u);
+  EXPECT_EQ(both.values[k], alone.values[0]);
+  const LadderResult other_stream = run({{&eval_.ProvenanceOf(k), 7}});
+  EXPECT_NE(other_stream.values[0], alone.values[0]);
+}
+
+TEST_F(EstimatorLadderTest, CancellationStopsTheLadder) {
+  CancelToken cancel;
+  cancel.RequestCancel();
+  std::vector<EstimatorRung> asked;
+  ExecutionBudget budget({0.0, 0}, &cancel);
+  const LadderResult r = RunLadder(
+      *ex_.db, {{EstimatorRung::kExact}, {EstimatorRung::kCnfProxy}}, 1,
+      Inputs(), [&](EstimatorRung rung) {
+        asked.push_back(rung);
+        return &budget;
+      });
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_FALSE(r.rung.has_value());
+  EXPECT_TRUE(r.values.empty());
+  EXPECT_EQ(r.trip_sites.size(), 1u);
+  EXPECT_EQ(asked, std::vector<EstimatorRung>{EstimatorRung::kExact});
+}
+
+TEST(EstimatorRungTest, NamesAreStable) {
+  EXPECT_STREQ(EstimatorRungName(EstimatorRung::kExact), "exact");
+  EXPECT_STREQ(EstimatorRungName(EstimatorRung::kStratified), "stratified");
+  EXPECT_STREQ(EstimatorRungName(EstimatorRung::kMonteCarlo), "monte_carlo");
+  EXPECT_STREQ(EstimatorRungName(EstimatorRung::kCnfProxy), "cnf_proxy");
 }
 
 TEST(RankByScoreTest, DescendingWithIdTiebreak) {

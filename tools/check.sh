@@ -11,7 +11,9 @@
 #       (budget_test), the ThreadPool stress test (common_test), the
 #       sharded metrics registry (metrics_test), the corpus shard
 #       streaming layer — concurrent ReadShard + cursor prefetch
-#       (corpus_stream_test) — the ranking service: concurrent
+#       (corpus_stream_test) — the corpus builder's parallel ladder wave,
+#       whose workers share one CancelToken and one FaultInjector
+#       (corpus_budget_test) — the ranking service: concurrent
 #       Submit/Rank with snapshot swaps under load (serving_test) — the
 #       shared const ranker scored from many threads in both float and
 #       int8 inference modes (quant_test), and the learnshapley training
@@ -41,7 +43,7 @@ case "$MODE" in
     CMAKE_MODE=thread
     # ^metrics_test$ is anchored: a bare 'metrics_test' would also match
     # ranking_metrics_test, which is single-threaded and slow under TSan.
-    TEST_ARGS=(-R 'eval_property_test|null_semantics_test|budget_test|common_test|^metrics_test$|corpus_stream_test|serving_test|quant_test|learnshapley_test|^model_test$')
+    TEST_ARGS=(-R 'eval_property_test|null_semantics_test|budget_test|common_test|^metrics_test$|corpus_stream_test|corpus_budget_test|serving_test|quant_test|learnshapley_test|^model_test$')
     ;;
   serve)
     BUILD_DIR="${BUILD_DIR:-build}"
