@@ -334,22 +334,41 @@ MetricsRegistry::SpanStats MetricsRegistry::SpanAt(
                    static_cast<double>(node->total_ns) * 1e-9};
 }
 
-ScopedSpan::ScopedSpan(MetricsRegistry* registry, const char* name) {
+namespace {
+
+// The child `name` of `parent` in `nodes`, created on first use.
+int ChildNode(std::vector<MetricsRegistry::SpanNode>& nodes, int parent,
+              const std::string& name) {
+  auto [it, inserted] = nodes[parent].children.try_emplace(name, 0);
+  if (inserted) {
+    it->second = static_cast<int>(nodes.size());
+    MetricsRegistry::SpanNode node;
+    node.name = name;
+    node.parent = parent;
+    nodes.push_back(std::move(node));
+  }
+  return it->second;
+}
+
+}  // namespace
+
+ScopedSpan::ScopedSpan(MetricsRegistry* registry, const char* name)
+    : ScopedSpan(registry, name, {}) {}
+
+ScopedSpan::ScopedSpan(MetricsRegistry* registry, const char* name,
+                       const std::vector<std::string>& parent_path) {
   if (registry == nullptr) return;
   trace_ = registry->TraceForThisThread();
   {
     std::lock_guard<std::mutex> lock(trace_->mu);
-    auto& nodes = trace_->nodes;
-    const int parent = trace_->current;
-    auto [it, inserted] = nodes[parent].children.try_emplace(name, 0);
-    if (inserted) {
-      it->second = static_cast<int>(nodes.size());
-      MetricsRegistry::SpanNode node;
-      node.name = name;
-      node.parent = parent;
-      nodes.push_back(std::move(node));
+    restore_ = trace_->current;
+    // An empty path opens under this thread's innermost span; a path is
+    // resolved from the root instead.
+    int parent = parent_path.empty() ? restore_ : 0;
+    for (const std::string& step : parent_path) {
+      parent = ChildNode(trace_->nodes, parent, step);
     }
-    node_ = it->second;
+    node_ = ChildNode(trace_->nodes, parent, name);
     trace_->current = node_;
   }
   start_ = std::chrono::steady_clock::now();
@@ -363,7 +382,19 @@ ScopedSpan::~ScopedSpan() {
   node.count += 1;
   node.total_ns += static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-  trace_->current = node.parent;
+  trace_->current = restore_;
+}
+
+std::vector<std::string> OpenSpanPath(MetricsRegistry* registry) {
+  if (registry == nullptr) return {};
+  MetricsRegistry::ThreadTrace* trace = registry->TraceForThisThread();
+  std::lock_guard<std::mutex> lock(trace->mu);
+  std::vector<std::string> path;
+  for (int n = trace->current; n != 0; n = trace->nodes[n].parent) {
+    path.push_back(trace->nodes[n].name);
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 Counter CounterFor(MetricsRegistry* registry, const std::string& name) {

@@ -223,6 +223,7 @@ class MetricsRegistry {
 
  private:
   friend class ScopedSpan;
+  friend std::vector<std::string> OpenSpanPath(MetricsRegistry* registry);
 
   ThreadTrace* TraceForThisThread();
 
@@ -245,9 +246,18 @@ class MetricsRegistry {
 // nest per thread, which the RAII shape enforces; a span opened on a pool
 // worker roots a separate per-thread tree rather than attaching to the
 // dispatching thread's open span.
+//
+// The second constructor places a span by path instead of by nesting:
+// take OpenSpanPath() where the span belongs, and a span opened with that
+// path merges under the same names as if it had nested there — from
+// another thread, or from inside a sibling span on this thread (work that
+// overlaps the sibling in time). The path's own spans are not timed again;
+// closing the span reopens whichever span was innermost before it.
 class ScopedSpan {
  public:
   ScopedSpan(MetricsRegistry* registry, const char* name);
+  ScopedSpan(MetricsRegistry* registry, const char* name,
+             const std::vector<std::string>& parent_path);
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -256,8 +266,13 @@ class ScopedSpan {
  private:
   MetricsRegistry::ThreadTrace* trace_ = nullptr;
   int node_ = 0;
+  int restore_ = 0;  // the innermost open span before this one opened
   std::chrono::steady_clock::time_point start_;
 };
+
+// Names of the calling thread's open spans in `registry`, outermost first
+// (empty for a null registry), for ScopedSpan's parent-path constructor.
+std::vector<std::string> OpenSpanPath(MetricsRegistry* registry);
 
 // Null-safe handle resolvers: the idiom for options-driven instrumentation
 // (`Counter c = CounterFor(options.metrics, "eval.rows_scanned");`).

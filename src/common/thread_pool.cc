@@ -106,8 +106,12 @@ void ParallelForRanges(ThreadPool& pool, size_t n, size_t grain,
 }
 
 Status ParallelFor(ThreadPool& pool, size_t n, CancelToken& cancel,
-                   const std::function<Status(size_t)>& fn) {
-  if (n == 0) return Status::Ok();
+                   const std::function<Status(size_t)>& fn,
+                   const std::function<void()>& meanwhile) {
+  if (n == 0) {
+    if (meanwhile) meanwhile();
+    return Status::Ok();
+  }
   const size_t num_workers = std::min(n, pool.num_threads());
   std::atomic<size_t> next{0};
   std::mutex err_mu;
@@ -134,9 +138,11 @@ Status ParallelFor(ThreadPool& pool, size_t n, CancelToken& cancel,
       // before unwinding.
       cancel.RequestCancel();
       pool.Wait();
+      if (meanwhile) meanwhile();
       return s;
     }
   }
+  if (meanwhile) meanwhile();
   pool.Wait();
   {
     std::unique_lock<std::mutex> lock(err_mu);

@@ -60,9 +60,11 @@ void ParallelFor(ThreadPool& pool, size_t n,
 // rather than executed, and Wait() cannot wedge on a poisoned wave. Returns
 // the first error in iteration order-of-occurrence (kCancelled if the token
 // was tripped externally), OK otherwise. `fn` must tolerate never being
-// called for skipped indices.
+// called for skipped indices. `meanwhile`, when set, runs exactly once on
+// the calling thread while the workers run the wave.
 Status ParallelFor(ThreadPool& pool, size_t n, CancelToken& cancel,
-                   const std::function<Status(size_t)>& fn);
+                   const std::function<Status(size_t)>& fn,
+                   const std::function<void()>& meanwhile = nullptr);
 
 // Splits [0, n) into contiguous ranges of at most `grain` items and runs
 // fn(range_index, begin, end) for each across the pool, blocking until all

@@ -1,9 +1,8 @@
 #include "corpus/corpus.h"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <chrono>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -55,6 +54,9 @@ struct CorpusMetricSet {
   Counter queries_generated, queries_kept, tuples_prefiltered, jobs,
       budget_trips;
   Histogram lineage_facts, circuit_nodes;
+  // Wall time of each rung a ground-truth job ran, tripped or not, as
+  // `corpus.rung_us.<EstimatorRungName>`; indexed by EstimatorRung.
+  std::array<Histogram, 4> rung_us;
   Gauge wall_seconds;
 
   CorpusMetricSet() = default;
@@ -68,7 +70,15 @@ struct CorpusMetricSet {
                                    ExponentialBuckets(1.0, 2.0, 10))),
         circuit_nodes(HistogramFor(r, "corpus.circuit_nodes",
                                    ExponentialBuckets(4.0, 4.0, 10))),
-        wall_seconds(GaugeFor(r, "corpus.wall_seconds")) {}
+        wall_seconds(GaugeFor(r, "corpus.wall_seconds")) {
+    for (size_t i = 0; i < rung_us.size(); ++i) {
+      rung_us[i] = HistogramFor(
+          r,
+          std::string("corpus.rung_us.") +
+              EstimatorRungName(static_cast<EstimatorRung>(i)),
+          ExponentialBuckets(1.0, 4.0, 12));
+    }
+  }
 };
 
 namespace {
@@ -82,20 +92,93 @@ struct ShardResult {
   ShardBuildStats stats;
 };
 
-// The sharded build driver behind BuildCorpus and BuildCorpusToShards.
+// One ground-truth job: a sampled output tuple that passed the pre-filter,
+// with its provenance moved out of the evaluation result.
+struct Job {
+  size_t entry;  // into PendingShard::entries
+  size_t slot;   // into that entry's contributions
+  Dnf prov;
+  uint64_t cost;  // |lineage|^2 * clauses: the wave runs heaviest first
+};
+
+// One shard's slice of the log, evaluated and compacted: each kept query
+// holds its output tuples and the skeletons of its sampled contributions
+// (no Shapley values yet), and only the sampled, pre-filter-passing
+// provenance survives, as jobs in (entry, sampled output) order. The
+// evaluation's lineages, tuple index and unsampled provenance are gone.
+struct PendingShard {
+  std::vector<CorpusEntry> entries;
+  std::vector<Job> jobs;
+  size_t prefiltered = 0;  // sampled tuples the pre-filter skipped
+};
+
+// Evaluates log[lo, hi), keeps the queries with enough outputs, and draws
+// each kept query's output sample from `rng` in log order.
+PendingShard EvaluateSlice(const Database& db, const std::vector<Query>& log,
+                           size_t lo, size_t hi, const CorpusConfig& config,
+                           const CorpusMetricSet& metrics, Rng& rng) {
+  // The registry threads through to the evaluator, so a corpus build's
+  // snapshot also carries the eval.* section for its query replay.
+  const EvalOptions eval_options = EvalOptions().WithMetrics(config.metrics);
+  PendingShard out;
+  for (size_t qi = lo; qi < hi; ++qi) {
+    auto eval = Evaluate(db, log[qi], eval_options);
+    if (!eval.ok()) continue;
+    EvalResult& result = *eval;
+    const size_t total = result.tuples.size();
+    if (total < config.min_outputs_per_query) continue;
+
+    const size_t want = std::min(total, config.max_outputs_per_query);
+    std::vector<size_t> sampled = rng.SampleWithoutReplacement(total, want);
+    std::sort(sampled.begin(), sampled.end());
+    const size_t e = out.entries.size();
+    CorpusEntry& entry = out.entries.emplace_back();
+    entry.query = log[qi];
+    for (size_t idx : sampled) {
+      Dnf& prov = result.provenance[idx];
+      const size_t lineage = prov.Variables().size();
+      if (lineage > config.max_lineage ||
+          prov.num_clauses() > config.max_clauses) {
+        // The syntactic pre-filter is the outermost skip rung: the tuple
+        // never reaches the ladder, but it still leaves a skip record.
+        ++out.prefiltered;
+        metrics.tuples_prefiltered.Inc();
+        continue;
+      }
+      metrics.lineage_facts.Observe(static_cast<double>(lineage));
+      const uint64_t cost =
+          static_cast<uint64_t>(lineage) * lineage * prov.num_clauses();
+      out.jobs.push_back(
+          {e, entry.contributions.size(), std::move(prov), cost});
+      entry.contributions.push_back({result.tuples[idx], {}});
+    }
+    entry.all_outputs = std::move(result.tuples);
+  }
+  metrics.queries_kept.Inc(out.entries.size());
+  return out;
+}
+
+// The sharded build driver behind BuildCorpus and BuildCorpusToShards: a
+// two-stage pipeline. While shard s's ladder wave runs on the pool, the
+// driver thread evaluates shard s+1's slice of the log (the evaluation
+// stream); it then folds shard s and hands it to the sink. Evaluating on
+// the driver rather than on a thread of its own keeps the evaluation's
+// working set in the allocator arena it has always used.
 //
 // Determinism contract (DESIGN.md §10.4): the query log is partitioned into
 // K contiguous slices, and the sequential sampling RNG stream — output
 // sampling per kept query, then the final split shuffle — is consumed in
-// shard order, exactly the order the K=1 build consumes it. The
-// stratified and Monte-Carlo fallback rungs are seeded by global job index
-// (a running counter across shards, with distinct per-rung mix
-// constants). So the merged entries, splits and rung counts are
-// identical for every K and thread count; only wall-clock deadline trips
-// can differ run to run.
+// shard order, exactly the order the K=1 build consumes it, since one
+// thread evaluates every shard in order. The stratified and Monte-Carlo fallback
+// rungs are seeded by global job index (a running counter across shards,
+// with distinct per-rung mix constants), and each job writes only its own
+// outcome slot, so running a wave heaviest-first moves nothing. The
+// merged entries, splits and rung counts are identical for every K and
+// thread count; only wall-clock deadline trips can differ run to run.
 //
 // `sink` receives each ShardResult in shard order and owns the entries
-// from then on — the driver never holds more than one shard's entries.
+// from then on — the driver holds one shard's entries plus, at most, the
+// next shard's compacted pending queries.
 template <typename Sink>
 BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
                            const CorpusConfig& config, ThreadPool& pool,
@@ -115,19 +198,31 @@ BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
   }
 
   Rng rng(config.seed ^ 0xc0ffee);
-  // The registry threads through to the evaluator, so a corpus build's
-  // snapshot also carries the eval.* section for its query replay.
-  const EvalOptions eval_options =
-      EvalOptions().WithMetrics(config.metrics);
-
   const size_t num_shards = std::max<size_t>(1, config.num_shards);
+  // Shard s's evaluation. It runs inside the previous shard's
+  // corpus.ground_truth span, yet is timed as a child of corpus.build.
+  const std::vector<std::string> span_path = OpenSpanPath(config.metrics);
+  const auto evaluate_shard = [&](size_t s) {
+    ScopedSpan span(config.metrics, "corpus.evaluate_log", span_path);
+    return EvaluateSlice(db, log, log.size() * s / num_shards,
+                         log.size() * (s + 1) / num_shards, config, metrics,
+                         rng);
+  };
+
   // Whole-build deadline, shared by every shard's wave. Anchored right
   // before the first wave launches — for K=1 that is the historical anchor
   // point (after log evaluation, before the ladder).
   using Clock = std::chrono::steady_clock;
   const bool has_build_deadline = config.build_deadline_seconds > 0.0;
-  bool deadline_anchored = false;
   Clock::time_point build_deadline{};
+
+  // One ladder per job, each rung under a fresh per-tuple budget; only the
+  // exact rung carries the node cap.
+  const std::vector<LadderRung> rungs = {
+      {EstimatorRung::kExact},
+      {EstimatorRung::kStratified, config.stratified_fallback_samples},
+      {EstimatorRung::kMonteCarlo, config.mc_fallback_samples},
+      {EstimatorRung::kCnfProxy}};
 
   BuildStats stats;
   stats.per_shard.reserve(num_shards);
@@ -137,101 +232,45 @@ BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
   size_t job_counter = 0;
   size_t total_kept = 0;  // kept entries across shards, for the split
 
+  // Shard 0 has no wave to overlap with.
+  PendingShard pending = evaluate_shard(0);
   for (size_t s = 0; s < num_shards; ++s) {
     WallTimer shard_timer;
     ShardResult shard;
     shard.shard_index = static_cast<uint32_t>(s);
     shard.stats.shard_index = static_cast<uint32_t>(s);
     ShardBuildStats& sstats = shard.stats;
-
-    // This shard's contiguous slice of the query log.
-    const size_t lo = log.size() * s / num_shards;
-    const size_t hi = log.size() * (s + 1) / num_shards;
-
-    // Evaluate the slice; keep queries with non-empty (bounded) results.
-    struct Pending {
-      Query query;
-      EvalResult result;
-      std::vector<size_t> sampled;  // output indices to compute Shapley for
-    };
-    std::vector<Pending> pending;
-    {
-      ScopedSpan span(config.metrics, "corpus.evaluate_log");
-      for (size_t qi = lo; qi < hi; ++qi) {
-        auto eval = Evaluate(db, log[qi], eval_options);
-        if (!eval.ok()) continue;
-        EvalResult result = std::move(eval).value();
-        if (result.tuples.size() < config.min_outputs_per_query) continue;
-
-        Pending p;
-        p.query = log[qi];
-        const size_t total = result.tuples.size();
-        const size_t want = std::min(total, config.max_outputs_per_query);
-        p.sampled = rng.SampleWithoutReplacement(total, want);
-        std::sort(p.sampled.begin(), p.sampled.end());
-        p.result = std::move(result);
-        pending.push_back(std::move(p));
-      }
-      metrics.queries_kept.Inc(pending.size());
+    sstats.skipped += pending.prefiltered;
+    if (pending.prefiltered > 0) {
+      sstats.budget_trips[kSiteCorpusPrefilter] += pending.prefiltered;
     }
+    shard.entries = std::move(pending.entries);
+    const std::vector<Job> jobs = std::move(pending.jobs);
+    const size_t job_base = job_counter;
+    job_counter += jobs.size();
 
-    // Shapley ground truth, parallel over this shard's (query, tuple)
-    // pairs, each pair descending the degradation ladder under the
-    // configured budgets.
-    struct Job {
-      size_t entry;
-      size_t slot;
-      const Dnf* prov;
-      size_t global;  // global job index (MC fallback seed)
-    };
-    shard.entries.resize(pending.size());
-    std::vector<Job> jobs;
-    for (size_t e = 0; e < pending.size(); ++e) {
-      Pending& p = pending[e];
-      CorpusEntry& entry = shard.entries[e];
-      entry.query = p.query;
-      entry.all_outputs = std::move(p.result.tuples);
-      size_t slot = 0;
-      for (size_t idx : p.sampled) {
-        const Dnf& prov = p.result.provenance[idx];
-        if (prov.Variables().size() > config.max_lineage ||
-            prov.num_clauses() > config.max_clauses) {
-          // The syntactic pre-filter is the outermost skip rung: the tuple
-          // never reaches the ladder, but it still leaves a skip record.
-          ++sstats.skipped;
-          ++sstats.budget_trips[kSiteCorpusPrefilter];
-          metrics.tuples_prefiltered.Inc();
-          continue;
-        }
-        metrics.lineage_facts.Observe(
-            static_cast<double>(prov.Variables().size()));
-        entry.contributions.push_back({entry.all_outputs[idx], {}});
-        jobs.push_back({e, slot, &prov, job_counter++});
-        ++slot;
-      }
-    }
+    // Heaviest jobs first, so the wave's tail is made of cheap ones.
+    // Outcome slots stay indexed by job.
+    std::vector<size_t> order(jobs.size());
+    for (size_t j = 0; j < order.size(); ++j) order[j] = j;
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return jobs[a].cost > jobs[b].cost;
+    });
 
-    if (has_build_deadline && !deadline_anchored) {
+    if (has_build_deadline && s == 0) {
       build_deadline =
           Clock::now() + std::chrono::duration_cast<Clock::duration>(
                              std::chrono::duration<double>(
                                  config.build_deadline_seconds));
-      deadline_anchored = true;
     }
     // Each shard's wave gets its own token; the shared deadline anchor
     // still expires every later shard's jobs at their first check.
     CancelToken shard_cancel;
 
-    // One ladder per job, each rung under a fresh per-tuple budget; only
-    // the exact rung carries the node cap. Each outcome slot is written by
-    // the one worker that ran the job and folded below serially, so the
-    // counts are deterministic at any thread count; a job the build
-    // cancelled before it ran keeps its cancelled placeholder.
-    const std::vector<LadderRung> rungs = {
-        {EstimatorRung::kExact},
-        {EstimatorRung::kStratified, config.stratified_fallback_samples},
-        {EstimatorRung::kMonteCarlo, config.mc_fallback_samples},
-        {EstimatorRung::kCnfProxy}};
+    // Each outcome slot is written by the one worker that ran the job and
+    // folded below serially, so the counts are deterministic at any thread
+    // count; a job the build cancelled before it ran keeps its cancelled
+    // placeholder.
     LadderResult not_run;
     not_run.cancelled = true;
     std::vector<LadderResult> outcomes(jobs.size(), not_run);
@@ -241,16 +280,31 @@ BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
         return Status::ResourceExhausted("corpus build deadline exceeded");
       }
       std::optional<ExecutionBudget> budget;
+      // Each rung's wall time ends where the next rung's budget is asked
+      // for, or where the ladder returns.
+      std::optional<EstimatorRung> running;
+      Clock::time_point rung_start;
+      const auto close_rung = [&](Clock::time_point now) {
+        if (!running.has_value()) return;
+        metrics.rung_us[static_cast<size_t>(*running)].Observe(
+            std::chrono::duration<double, std::micro>(now - rung_start)
+                .count());
+      };
       LadderResult& result = outcomes[j];
       result = RunLadder(
-          db, rungs, config.seed, {{job.prov, job.global}},
+          db, rungs, config.seed, {{&job.prov, job_base + j}},
           [&](EstimatorRung rung) {
+            const Clock::time_point now = Clock::now();
+            close_rung(now);
+            running = rung;
+            rung_start = now;
             const uint64_t nodes =
                 rung == EstimatorRung::kExact ? config.max_circuit_nodes : 0;
             return &budget.emplace(
                 ExecutionBudget::Limits{config.tuple_deadline_seconds, nodes},
                 &shard_cancel, config.fault_injector);
           });
+      close_rung(Clock::now());
       if (result.rung == EstimatorRung::kExact) {
         // Charge accounting runs even on an unlimited budget, so after a
         // successful exact rung the charged units are (almost exactly) the
@@ -266,12 +320,19 @@ BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
                               : Status::Ok();
     };
     metrics.jobs.Inc(jobs.size());
+    // The driver evaluates the next shard while the pool runs this wave.
     // The wave status is deliberately dropped: a cancelled build is not an
     // error of the build — the unprocessed jobs are folded into the skip
     // accounting below and the (partial) shard is still valid.
+    PendingShard next;
     {
       ScopedSpan span(config.metrics, "corpus.ground_truth");
-      (void)ParallelFor(pool, jobs.size(), shard_cancel, ladder);
+      (void)ParallelFor(
+          pool, jobs.size(), shard_cancel,
+          [&](size_t i) { return ladder(order[i]); },
+          [&] {
+            if (s + 1 < num_shards) next = evaluate_shard(s + 1);
+          });
     }
 
     // Fold the per-job outcomes into the shard's stats serially
@@ -324,6 +385,7 @@ BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
     }
     stats.per_shard.push_back(sstats);
     sink(std::move(shard));
+    pending = std::move(next);
   }
 
   ScopedSpan finalize_span(config.metrics, "corpus.finalize");

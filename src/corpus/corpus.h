@@ -67,7 +67,9 @@ struct RungCounts {
 struct ShardBuildStats : RungCounts {
   uint32_t shard_index = 0;
   size_t entries = 0;      // corpus entries this shard contributed
-  double wall_seconds = 0.0;  // this shard's ladder wall time
+  // This shard's ladder wave (which overlaps the next shard's log
+  // evaluation) and fold, in wall time.
+  double wall_seconds = 0.0;
   std::map<std::string, size_t> budget_trips;
 };
 

@@ -79,19 +79,33 @@ NodeId Circuit::AddOr(std::vector<NodeId> children) {
 }
 
 const CountVec& BinomialRow(size_t m) {
+  // Each thread answers from its own index of the rows it has already
+  // seen and takes the lock only on a first sight of `m`. The index points
+  // at the shared rows (map nodes never move), so every thread reads the
+  // one row object built for `m`.
+  thread_local std::vector<const CountVec*> seen;
+  if (m < seen.size() && seen[m] != nullptr) return *seen[m];
   static std::mutex mu;
   static std::unordered_map<size_t, CountVec>* rows =
       new std::unordered_map<size_t, CountVec>();
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = rows->find(m);
-  if (it != rows->end()) return it->second;
-  CountVec row(m + 1);
-  row[0] = 1.0L;
-  for (size_t k = 1; k <= m; ++k) {
-    row[k] = row[k - 1] * static_cast<long double>(m - k + 1) /
-             static_cast<long double>(k);
+  const CountVec* row;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    auto it = rows->find(m);
+    if (it == rows->end()) {
+      CountVec built(m + 1);
+      built[0] = 1.0L;
+      for (size_t k = 1; k <= m; ++k) {
+        built[k] = built[k - 1] * static_cast<long double>(m - k + 1) /
+                   static_cast<long double>(k);
+      }
+      it = rows->emplace(m, std::move(built)).first;
+    }
+    row = &it->second;
   }
-  return rows->emplace(m, std::move(row)).first->second;
+  if (m >= seen.size()) seen.resize(m + 1, nullptr);
+  seen[m] = row;
+  return *row;
 }
 
 CountVec ExtendCounts(const CountVec& c, size_t to) {

@@ -102,7 +102,9 @@ class CountingSession {
   std::unordered_map<NodeId, CountVec> base_;
 };
 
-// Returns the binomial row [C(m,0), ..., C(m,m)] in long double.
+// Returns the binomial row [C(m,0), ..., C(m,m)] in long double. Rows are
+// built once per process and shared; after a thread's first request for
+// `m`, later requests from that thread take no lock.
 const CountVec& BinomialRow(size_t m);
 
 // Re-expresses counts over a variable set of size `from` as counts over a

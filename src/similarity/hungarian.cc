@@ -87,10 +87,16 @@ std::vector<int> MaxWeightMatching(
 
 double MatchingWeight(const std::vector<std::vector<double>>& weights,
                       const std::vector<int>& match) {
-  double total = 0.0;
+  std::vector<double> matched;
+  matched.reserve(match.size());
   for (size_t i = 0; i < match.size(); ++i) {
-    if (match[i] >= 0) total += weights[i][static_cast<size_t>(match[i])];
+    if (match[i] >= 0) {
+      matched.push_back(weights[i][static_cast<size_t>(match[i])]);
+    }
   }
+  std::sort(matched.begin(), matched.end());
+  double total = 0.0;
+  for (double w : matched) total += w;
   return total;
 }
 

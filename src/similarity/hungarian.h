@@ -14,7 +14,9 @@ namespace lshap {
 std::vector<int> MaxWeightMatching(
     const std::vector<std::vector<double>>& weights);
 
-// Total weight of a matching produced by MaxWeightMatching.
+// Total weight of a matching produced by MaxWeightMatching, summed in
+// ascending weight order, so the transposed problem's matching of the same
+// pairs gives the same bits.
 double MatchingWeight(const std::vector<std::vector<double>>& weights,
                       const std::vector<int>& match);
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -247,6 +249,44 @@ TEST(ThreadPoolTest, CancellableParallelForOkWhenAllSucceed) {
                                });
   EXPECT_TRUE(s.ok());
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// `meanwhile` runs once, on the calling thread, while the wave is in
+// flight — and still runs when there is no wave or no pool to run it.
+TEST(ThreadPoolTest, CancellableParallelForRunsMeanwhileOnCaller) {
+  ThreadPool pool(2);
+  CancelToken cancel;
+  std::atomic<size_t> ran{0};
+  size_t calls = 0;
+  bool saw_wave = false;
+  const auto caller = std::this_thread::get_id();
+  const auto meanwhile = [&] {
+    ++calls;
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    // The workers are already scheduled: an item completes while this
+    // callback is still running.
+    for (int spin = 0; spin < 10000 && ran.load() == 0; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    saw_wave = ran.load() > 0;
+  };
+  const auto item = [&](size_t) -> Status {
+    ran.fetch_add(1);
+    return Status::Ok();
+  };
+  EXPECT_TRUE(ParallelFor(pool, 64, cancel, item, meanwhile).ok());
+  EXPECT_EQ(calls, 1u);
+  EXPECT_TRUE(saw_wave);
+  EXPECT_EQ(ran.load(), 64u);
+
+  calls = 0;
+  EXPECT_TRUE(ParallelFor(pool, 0, cancel, item, [&] { ++calls; }).ok());
+  EXPECT_EQ(calls, 1u);
+
+  pool.Shutdown();
+  calls = 0;
+  EXPECT_FALSE(ParallelFor(pool, 8, cancel, item, [&] { ++calls; }).ok());
+  EXPECT_EQ(calls, 1u);
 }
 
 // Stress: many overlapping waves (infallible + cancellable, some poisoned)

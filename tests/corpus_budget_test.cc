@@ -14,12 +14,14 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "corpus/corpus.h"
 #include "corpus/io.h"
 #include "datasets/imdb.h"
+#include "provenance/circuit.h"
 #include "provenance/compiler.h"
 #include "shapley/shapley.h"
 
@@ -614,6 +616,127 @@ TEST_F(CorpusBudgetTest, LadderOutputMatchesRecordedPins) {
       ExpectLadderAccounting(c);
       EXPECT_EQ(LadderPin(c), cases[i].pin)
           << cases[i].name << " at " << pool->num_threads() << " threads";
+    }
+  }
+}
+
+// A build whose jobs mix cheap exact tuples with expensive stratified ones,
+// so a wave that reorders its jobs (heaviest first) has something to
+// reorder. Every shard and thread count must give the corpus, rung counts
+// and trip map recorded for it before the waves were reordered.
+TEST_F(CorpusBudgetTest, MixedCostWaveIsShardAndThreadCountInvariant) {
+  constexpr uint64_t kRecordedPin = 292314846065919204ull;
+  CorpusConfig cfg = SmallConfig();
+  cfg.num_base_queries = 16;
+  // About one tuple in nine misses this cap and takes the stratified rung.
+  cfg.max_circuit_nodes = 12;
+  cfg.stratified_fallback_samples = 64;
+  ThreadPool serial(1);
+  const Corpus reference = BuildCorpus(*data_.db, data_.graph, cfg, serial);
+  EXPECT_GT(reference.stats.exact, 0u);
+  EXPECT_GT(reference.stats.stratified, 0u);
+  EXPECT_EQ(LadderPin(reference), kRecordedPin);
+  for (ThreadPool* pool : {&serial, &pool_}) {
+    for (size_t k : {1u, 3u}) {
+      CorpusConfig cfgk = cfg;
+      cfgk.num_shards = k;
+      const Corpus c = BuildCorpus(*data_.db, data_.graph, cfgk, *pool);
+      ExpectSameCorpusContent(reference, c);
+      EXPECT_EQ(c.stats.exact, reference.stats.exact);
+      EXPECT_EQ(c.stats.stratified, reference.stats.stratified);
+      EXPECT_EQ(c.stats.monte_carlo, reference.stats.monte_carlo);
+      EXPECT_EQ(c.stats.cnf_proxy, reference.stats.cnf_proxy);
+      EXPECT_EQ(c.stats.skipped, reference.stats.skipped);
+      EXPECT_EQ(c.stats.budget_trips, reference.stats.budget_trips);
+      ExpectPerShardStatsMergeToTotals(c.stats, k);
+      ExpectLadderAccounting(c);
+      EXPECT_EQ(LadderPin(c), kRecordedPin)
+          << "K=" << k << " at " << pool->num_threads() << " threads";
+    }
+  }
+}
+
+// Shards 1..K-1 are evaluated inside the previous shard's
+// corpus.ground_truth span, yet their time lands under corpus.build (where
+// the benches read it), with the evaluator's spans below it; every ladder
+// rung that ran is timed.
+TEST_F(CorpusBudgetTest, ShardedBuildKeepsEvaluationUnderBuildSpan) {
+  MetricsRegistry registry;
+  CorpusConfig cfg = SmallConfig();
+  cfg.num_shards = 3;
+  cfg.max_circuit_nodes = 12;
+  cfg.stratified_fallback_samples = 64;
+  cfg.metrics = &registry;
+  const Corpus c = Build(cfg);
+  EXPECT_EQ(registry.SpanAt({"corpus.build"}).count, 1u);
+  EXPECT_EQ(registry.SpanAt({"corpus.build", "corpus.evaluate_log"}).count,
+            3u);
+  EXPECT_EQ(registry.SpanAt({"corpus.build", "corpus.ground_truth"}).count,
+            3u);
+  EXPECT_EQ(registry
+                .SpanAt({"corpus.build", "corpus.ground_truth",
+                         "corpus.evaluate_log"})
+                .count,
+            0u);
+  EXPECT_EQ(registry
+                .SpanAt({"corpus.build", "corpus.evaluate_log", "eval.query"})
+                .count,
+            registry.CounterValue("eval.queries"));
+  auto observed = [&](const char* rung) {
+    uint64_t n = 0;
+    for (uint64_t b :
+         registry.HistogramBuckets(std::string("corpus.rung_us.") + rung)) {
+      n += b;
+    }
+    return n;
+  };
+  // Every job runs the exact rung; those it trips go on to stratified.
+  const uint64_t jobs = registry.CounterValue("corpus.ground_truth_jobs");
+  EXPECT_EQ(observed("exact"), jobs);
+  EXPECT_EQ(observed("stratified"), jobs - c.stats.exact);
+  EXPECT_GT(c.stats.stratified, 0u);
+  EXPECT_EQ(observed("monte_carlo"), 0u);
+}
+
+// BinomialRow answers from a per-thread cache in front of one shared table;
+// threads asking for interleaved sizes at once must each get the row a
+// serial computation gives, bit for bit.
+TEST(BinomialRowTest, ConcurrentInterleavedRowsMatchSerialComputation) {
+  constexpr size_t kThreads = 8;
+  // Sizes no other test in this binary asks for, so the rows are computed
+  // under contention rather than found cached.
+  constexpr size_t kFirst = 1000, kCount = 64;
+  auto serial_row = [](size_t m) {
+    CountVec row(m + 1);
+    row[0] = 1.0L;
+    for (size_t k = 1; k <= m; ++k) {
+      row[k] = row[k - 1] * static_cast<long double>(m - k + 1) /
+               static_cast<long double>(k);
+    }
+    return row;
+  };
+  std::vector<std::vector<const CountVec*>> got(
+      kThreads, std::vector<const CountVec*>(kCount, nullptr));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Thread t starts t rows in and wraps around, twice, so every size
+      // is requested by several threads at once and again once cached.
+      for (size_t i = 0; i < 2 * kCount; ++i) {
+        const size_t r = (t * 7 + i) % kCount;
+        got[t][r] = &BinomialRow(kFirst + r);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t r = 0; r < kCount; ++r) {
+    const CountVec want = serial_row(kFirst + r);
+    for (size_t t = 0; t < kThreads; ++t) {
+      ASSERT_NE(got[t][r], nullptr);
+      // One shared row object per size, whichever thread computed it.
+      EXPECT_EQ(got[t][r], got[0][r]) << "m=" << kFirst + r;
+      // Element-wise ==, not memcmp: a long double carries padding bytes.
+      EXPECT_TRUE(*got[t][r] == want) << "m=" << kFirst + r << " thread " << t;
     }
   }
 }

@@ -4,6 +4,7 @@
 #include "common/metrics.h"
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -117,6 +118,58 @@ TEST(MetricsSpan, SeparateThreadsMergeByName) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(registry.SpanAt({"work"}).count, 4u);
   EXPECT_EQ(registry.SpanAt({"work", "step"}).count, 4u);
+}
+
+// A span opened on another thread with the dispatcher's open-span path
+// merges under that path; the path's spans are timed once, by their own
+// thread, and the worker's later spans nest as usual.
+TEST(MetricsSpan, ParentPathReRootsAnotherThreadsSpan) {
+  MetricsRegistry registry;
+  {
+    ScopedSpan outer(&registry, "build");
+    ScopedSpan middle(&registry, "shard");
+    const std::vector<std::string> path = OpenSpanPath(&registry);
+    EXPECT_EQ(path, (std::vector<std::string>{"build", "shard"}));
+    std::thread worker([&registry, &path] {
+      {
+        ScopedSpan handed(&registry, "evaluate", path);
+        ScopedSpan inner(&registry, "query");
+      }
+      // Closing the handed span restores this thread's own root.
+      ScopedSpan after(&registry, "own");
+    });
+    worker.join();
+  }
+  EXPECT_EQ(registry.SpanAt({"build"}).count, 1u);
+  EXPECT_EQ(registry.SpanAt({"build", "shard"}).count, 1u);
+  EXPECT_EQ(registry.SpanAt({"build", "shard", "evaluate"}).count, 1u);
+  EXPECT_EQ(registry.SpanAt({"build", "shard", "evaluate", "query"}).count,
+            1u);
+  EXPECT_EQ(registry.SpanAt({"own"}).count, 1u);
+  EXPECT_EQ(registry.SpanAt({"evaluate"}).count, 0u);
+  EXPECT_TRUE(OpenSpanPath(&registry).empty());
+  EXPECT_TRUE(OpenSpanPath(nullptr).empty());
+}
+
+// On one thread, a span placed by path from inside a sibling lands beside
+// it, and closing it reopens the sibling for the spans that follow.
+TEST(MetricsSpan, ParentPathPlacesSpanBesideAnOpenSibling) {
+  MetricsRegistry registry;
+  {
+    ScopedSpan outer(&registry, "build");
+    const std::vector<std::string> path = OpenSpanPath(&registry);
+    ScopedSpan wave(&registry, "wave");
+    {
+      ScopedSpan overlapped(&registry, "evaluate", path);
+      ScopedSpan inner(&registry, "query");
+    }
+    ScopedSpan after(&registry, "fold");
+  }
+  EXPECT_EQ(registry.SpanAt({"build", "wave"}).count, 1u);
+  EXPECT_EQ(registry.SpanAt({"build", "evaluate"}).count, 1u);
+  EXPECT_EQ(registry.SpanAt({"build", "evaluate", "query"}).count, 1u);
+  EXPECT_EQ(registry.SpanAt({"build", "wave", "evaluate"}).count, 0u);
+  EXPECT_EQ(registry.SpanAt({"build", "wave", "fold"}).count, 1u);
 }
 
 TEST(MetricsNoop, DisabledHandlesAreInert) {
